@@ -2,6 +2,12 @@
 //! Each bench runs the same code path as the `paper` binary, at the smallest
 //! scale, so `cargo bench` exercises every figure end to end.
 //!
+//! The figure drivers share a process-wide level-1 store and memoize whole
+//! policy matrices, so each bench's untimed warm-up iteration does the cold
+//! work and the timed iterations measure warm reruns in the same process.
+//! For the cold cost of a fresh `paper all smoke` process, run the
+//! `figures_smoke` workload of `perfbench/run.py`.
+//!
 //! Run with: `cargo bench -p experiments --bench figures_ch4`
 
 use experiments::ch4;

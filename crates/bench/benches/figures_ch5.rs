@@ -1,6 +1,12 @@
 //! Smoke-scale regeneration of the Chapter 5 figures (the server-platform
 //! case study).
 //!
+//! The figure drivers share a process-wide level-1 store and memoize whole
+//! policy matrices, so each bench's untimed warm-up iteration does the cold
+//! work and the timed iterations measure warm reruns in the same process.
+//! For the cold cost of a fresh `paper all smoke` process, run the
+//! `figures_smoke` workload of `perfbench/run.py`.
+//!
 //! Run with: `cargo bench -p experiments --bench figures_ch5`
 
 use experiments::ch5;

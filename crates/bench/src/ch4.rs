@@ -1,11 +1,13 @@
 //! Chapter 4 experiments: the simulation study of the DTM schemes.
 
+use std::sync::Arc;
+
 use memtherm::dtm::policy::DtmPolicy;
 use memtherm::prelude::*;
 use memtherm::sim::memspot::MemSpotResult;
 
-use crate::harness::{f1, f3, mean, Scale, Table};
-use crate::sweep::{SweepRunner, SweepScenario};
+use crate::harness::{f1, f3, mean, shared_runner, Memo, Scale, Table};
+use crate::sweep::SweepScenario;
 
 /// Which policy variant a matrix run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,34 +110,75 @@ pub struct MatrixRun {
     pub result: MemSpotResult,
 }
 
+/// Every input of one [`run_matrix`] call: the key of its level-2 memo.
+#[derive(Debug, PartialEq, Eq)]
+struct MatrixKey {
+    scale: Scale,
+    spreader: HeatSpreader,
+    air_velocity_bits: u64,
+    integrated: bool,
+    interaction_degree_bits: Option<u64>,
+    stack: StackKind,
+    specs: Vec<PolicySpec>,
+}
+
+/// Level-2 memo of [`run_matrix`] results, one entry per distinct call.
+static MATRIX_MEMO: Memo<MatrixKey, Vec<MatrixRun>> = Memo::new();
+
 /// Runs every mix under every policy (plus the no-limit baseline) for one
-/// cooling configuration. Each mix becomes one [`SweepScenario`]; the
-/// [`SweepRunner`] fans the individual {mix, policy} cells across cores,
-/// and all cells of a mix share its level-1 characterization through the
-/// sweep's `CharStore`.
+/// cooling configuration. Each mix becomes one [`SweepScenario`]; a
+/// [`SweepRunner`](crate::sweep::SweepRunner) fans the individual {mix,
+/// policy} cells across cores, and every cell draws its level-1 points from
+/// the process-wide [`shared_store`](crate::harness::shared_store).
+///
+/// The result is memoized for the rest of the process under the full set
+/// of inputs, so figures that report different metrics of one matrix
+/// simulate it once.
 pub fn run_matrix(
     scale: Scale,
     cooling: CoolingConfig,
     integrated: bool,
     interaction_degree: Option<f64>,
     specs: &[PolicySpec],
-) -> Vec<MatrixRun> {
+) -> Arc<Vec<MatrixRun>> {
     let mut all_specs = vec![PolicySpec::NoLimit];
     all_specs.extend_from_slice(specs);
-    let scenarios: Vec<SweepScenario> = scale
-        .ch4_mixes()
-        .into_iter()
-        .map(|mix| SweepScenario {
-            cooling,
-            integrated,
-            interaction_degree,
-            stack: StackKind::Fbdimm,
-            mix,
-            specs: all_specs.clone(),
-            dtm_interval_s: None,
+    let key = MatrixKey {
+        scale,
+        spreader: cooling.spreader,
+        air_velocity_bits: cooling.air_velocity_mps.to_bits(),
+        integrated,
+        interaction_degree_bits: interaction_degree.map(f64::to_bits),
+        stack: StackKind::Fbdimm,
+        specs: all_specs.clone(),
+    };
+    MATRIX_MEMO.get_or_compute(key, || {
+        let scenarios: Vec<SweepScenario> = scale
+            .ch4_mixes()
+            .into_iter()
+            .map(|mix| SweepScenario {
+                cooling,
+                integrated,
+                interaction_degree,
+                stack: StackKind::Fbdimm,
+                mix,
+                specs: all_specs.clone(),
+                dtm_interval_s: None,
+            })
+            .collect();
+        shared_runner().run(&scenarios, |cooling| scale.memspot_config(cooling)).runs
+    })
+}
+
+/// One isolated-model scenario per (cooling, mix) pair, cooling-major, each
+/// evaluating `specs`.
+fn isolated_grid(scale: Scale, coolings: &[CoolingConfig], specs: &[PolicySpec]) -> Vec<SweepScenario> {
+    coolings
+        .iter()
+        .flat_map(|&cooling| {
+            scale.ch4_mixes().into_iter().map(move |mix| SweepScenario::isolated(cooling, mix, specs.to_vec()))
         })
-        .collect();
-    SweepRunner::new().run(&scenarios, |cooling| scale.memspot_config(cooling)).runs
+        .collect()
 }
 
 fn baseline<'a>(runs: &'a [MatrixRun], cooling: &str, workload: &str, policy: &str) -> Option<&'a MatrixRun> {
@@ -214,25 +257,29 @@ pub fn fig4_2(scale: Scale) -> Table {
         (CoolingConfig::aohs_1_5(), "AMB", vec![106.0, 107.0, 108.0, 109.0, 109.5]),
     ];
     for (cooling, device, trps) in cases {
-        let cfg = scale.memspot_config(cooling);
-        let cpu = CpuConfig::paper_quad_core();
-        let mut spot = MemSpot::with_hardware(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg);
-        for mix in scale.ch4_mixes() {
-            let mut nolimit = memtherm::dtm::NoLimit::new(&cpu);
-            let base = spot.run(&mix, &mut nolimit);
-            for &trp in &trps {
+        // The no-limit baselines, then one sweep of DTM-TS cells per TRP.
+        // The release point only reaches the policy: the thermal scene reads
+        // just the TDPs from the limits, so every sweep shares the baseline.
+        let base = run_matrix(scale, cooling, false, None, &[]);
+        let scenarios = isolated_grid(scale, &[cooling], &[PolicySpec::Ts]);
+        let swept: Vec<Vec<MatrixRun>> = trps
+            .iter()
+            .map(|&trp| {
                 let limits = if device == "DRAM" {
                     ThermalLimits::paper_fbdimm().with_dram_trp(trp)
                 } else {
                     ThermalLimits::paper_fbdimm().with_amb_trp(trp)
                 };
-                let mut ts = DtmTs::new(cpu.clone(), limits);
-                let r = spot.run(&mix, &mut ts);
+                shared_runner().run(&scenarios, |c| MemSpotConfig { limits, ..scale.memspot_config(c) }).runs
+            })
+            .collect();
+        for (m, base) in base.iter().enumerate() {
+            for (&trp, runs) in trps.iter().zip(&swept) {
                 t.push_row([
                     cooling.label(),
                     format!("{device} {trp:.1}"),
-                    mix.id.clone(),
-                    f3(r.normalized_time(&base)),
+                    base.workload.clone(),
+                    f3(runs[m].result.normalized_time(&base.result)),
                 ]);
             }
         }
@@ -251,7 +298,7 @@ fn normalized_table(
     let mut t = Table::new(id, title, &["cooling", "workload", "policy", "value"]);
     for cooling in [CoolingConfig::fdhs_1_0(), CoolingConfig::aohs_1_5()] {
         let runs = run_matrix(scale, cooling, false, None, specs);
-        for r in &runs {
+        for r in runs.iter() {
             if r.policy == base_policy {
                 continue;
             }
@@ -292,30 +339,23 @@ pub fn fig4_4(scale: Scale) -> Table {
 /// Figures 4.5–4.8: AMB temperature traces of W1 under AOHS_1.5 for DTM-TS,
 /// DTM-BW, DTM-ACG and DTM-CDVFS (sampled every 10 s of the first 1000 s).
 pub fn fig4_5_8(scale: Scale) -> Table {
-    let cooling = CoolingConfig::aohs_1_5();
-    let mut cfg = scale.memspot_config(cooling);
-    cfg.record_temp_trace = true;
-    let cpu = CpuConfig::paper_quad_core();
-    let limits = cfg.limits;
-    let mut spot = MemSpot::with_hardware(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg);
-    let mix = mixes::w1();
+    let scenario = SweepScenario::isolated(CoolingConfig::aohs_1_5(), mixes::w1(), PolicySpec::threshold_set());
+    // The traces need every window: the batched engine records them when
+    // fast-forward is off.
+    let runs = shared_runner()
+        .with_batch_options(BatchOptions::literal())
+        .run(&[scenario], |c| MemSpotConfig { record_temp_trace: true, ..scale.memspot_config(c) })
+        .runs;
 
     let mut t = Table::new(
         "fig4_5_8",
         "AMB temperature of W1 under AOHS_1.5 (first 1000 s, 10 s samples)",
         &["scheme", "time s", "AMB degC", "active cores", "freq GHz"],
     );
-    let schemes: Vec<(&str, Box<dyn DtmPolicy>)> = vec![
-        ("DTM-TS", Box::new(DtmTs::new(cpu.clone(), limits))),
-        ("DTM-BW", Box::new(DtmBw::new(cpu.clone(), limits))),
-        ("DTM-ACG", Box::new(DtmAcg::new(cpu.clone(), limits))),
-        ("DTM-CDVFS", Box::new(DtmCdvfs::new(cpu.clone(), limits))),
-    ];
-    for (name, mut policy) in schemes {
-        let r = spot.run(&mix, policy.as_mut());
-        for sample in r.temp_trace.iter().filter(|s| s.time_s <= 1000.0).step_by(10) {
+    for r in &runs {
+        for sample in r.result.temp_trace.iter().filter(|s| s.time_s <= 1000.0).step_by(10) {
             t.push_row([
-                name.to_string(),
+                r.policy.clone(),
                 f1(sample.time_s),
                 f1(sample.amb_c),
                 sample.active_cores.to_string(),
@@ -358,30 +398,36 @@ pub fn fig4_11(scale: Scale) -> Table {
         "Normalized average running time for different DTM intervals (vs the 10 ms interval)",
         &["cooling", "policy", "interval ms", "normalized avg time"],
     );
-    for cooling in [CoolingConfig::fdhs_1_0(), CoolingConfig::aohs_1_5()] {
+    let coolings = [CoolingConfig::fdhs_1_0(), CoolingConfig::aohs_1_5()];
+    let scenarios = isolated_grid(scale, &coolings, &PolicySpec::threshold_set());
+    // One sweep per DTM interval; the simulation window stays at the
+    // scale's default.
+    let sweeps: Vec<Vec<MatrixRun>> = intervals_ms
+        .iter()
+        .map(|&interval| {
+            let dtm_interval_s = interval / 1000.0;
+            shared_runner().run(&scenarios, |c| MemSpotConfig { dtm_interval_s, ..scale.memspot_config(c) }).runs
+        })
+        .collect();
+    let cpu = CpuConfig::paper_quad_core();
+    for cooling in coolings {
         for spec in PolicySpec::threshold_set() {
-            let cpu = CpuConfig::paper_quad_core();
-            // Collect per-interval average running time over the mixes.
-            let mut per_interval = Vec::new();
-            for &interval in &intervals_ms {
-                let mut cfg = scale.memspot_config(cooling);
-                cfg.dtm_interval_s = interval / 1000.0;
-                let limits = cfg.limits;
-                let mut spot = MemSpot::with_hardware(cpu.clone(), FbdimmConfig::ddr2_667_paper(), cfg);
-                let times: Vec<f64> = scale
-                    .ch4_mixes()
-                    .iter()
-                    .map(|mix| {
-                        let mut policy = spec.build(&cpu, limits);
-                        spot.run(mix, policy.as_mut()).running_time_s
-                    })
-                    .collect();
-                per_interval.push(mean(&times));
-            }
+            let name = spec.build(&cpu, ThermalLimits::paper_fbdimm()).name();
+            // Average running time over the mixes, per interval.
+            let per_interval: Vec<f64> = sweeps
+                .iter()
+                .map(|runs| {
+                    let times: Vec<f64> = runs
+                        .iter()
+                        .filter(|r| r.cooling == cooling.label() && r.policy == name)
+                        .map(|r| r.result.running_time_s)
+                        .collect();
+                    mean(&times)
+                })
+                .collect();
             let reference = per_interval[1].max(1e-9); // 10 ms column
-            for (i, &interval) in intervals_ms.iter().enumerate() {
-                let name = spec.build(&cpu, ThermalLimits::paper_fbdimm()).name();
-                t.push_row([cooling.label(), name, f1(interval), f3(per_interval[i] / reference)]);
+            for (&interval, &avg) in intervals_ms.iter().zip(&per_interval) {
+                t.push_row([cooling.label(), name.clone(), f1(interval), f3(avg / reference)]);
             }
         }
     }
@@ -398,7 +444,7 @@ pub fn fig4_12(scale: Scale) -> Table {
     );
     for cooling in [CoolingConfig::fdhs_1_0(), CoolingConfig::aohs_1_5()] {
         let runs = run_matrix(scale, cooling, true, None, &PolicySpec::threshold_set());
-        for r in &runs {
+        for r in runs.iter() {
             if r.policy == "No-limit" {
                 continue;
             }
@@ -414,7 +460,7 @@ pub fn fig4_12(scale: Scale) -> Table {
     t
 }
 
-fn interaction_runs(scale: Scale, degree: f64) -> Vec<MatrixRun> {
+fn interaction_runs(scale: Scale, degree: f64) -> Arc<Vec<MatrixRun>> {
     run_matrix(scale, CoolingConfig::fdhs_1_0(), true, Some(degree), &PolicySpec::threshold_set())
 }
 

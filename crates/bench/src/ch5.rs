@@ -1,12 +1,19 @@
 //! Chapter 5 experiments: the server-platform case study.
 
+use std::sync::Arc;
+
 use platform_emu::{Measurement, PlatformExperiment, PlatformPolicy, PolicyKind, Server, TimeSliceModel};
 use workloads::mixes;
 
-use crate::harness::{f1, f3, mean, Scale, Table};
+use crate::harness::{f1, f3, mean, shared_store, Memo, Scale, Table};
 
 fn experiment(scale: Scale, server: Server) -> PlatformExperiment {
-    PlatformExperiment::with_scale(server, scale.platform_runs_per_app(), scale.platform_instruction_scale())
+    PlatformExperiment::with_store(
+        server,
+        scale.platform_runs_per_app(),
+        scale.platform_instruction_scale(),
+        shared_store(),
+    )
 }
 
 fn ch5_mixes(scale: Scale) -> Vec<workloads::WorkloadMix> {
@@ -16,26 +23,44 @@ fn ch5_mixes(scale: Scale) -> Vec<workloads::WorkloadMix> {
     }
 }
 
-fn policy_runs(
+/// Every input of one [`policy_runs`] call: the key of its level-2 memo.
+/// The server is compared field by field, so a changed ambient or TDP is a
+/// different key.
+#[derive(Debug, PartialEq)]
+struct PolicyRunsKey {
     scale: Scale,
     server: Server,
-    mixes_list: &[workloads::WorkloadMix],
-) -> Vec<(String, String, Measurement)> {
-    // Fan the mixes across cores; each worker owns a private experiment
-    // (characterization tables are per-mix, so nothing is lost by splitting).
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let groups = crate::sweep::parallel_map(threads, mixes_list, |mix| {
-        let mut exp = experiment(scale, server.clone());
-        let mut out = Vec::new();
-        let base = exp.run_no_limit(mix);
-        out.push((mix.id.clone(), "No-limit".to_string(), base.measurement));
-        for kind in PolicyKind::ALL {
-            let run = exp.run_policy(mix, kind);
-            out.push((mix.id.clone(), kind.to_string(), run.measurement));
-        }
-        out
-    });
-    groups.into_iter().flatten().collect()
+    mix_ids: Vec<String>,
+}
+
+/// One `(mix, policy, measurement)` row per run, mix-major.
+type PolicyRuns = Vec<(String, String, Measurement)>;
+
+/// Level-2 memo of [`policy_runs`] results, one entry per distinct call.
+static POLICY_RUNS_MEMO: Memo<PolicyRunsKey, PolicyRuns> = Memo::new();
+
+/// Runs every mix without DTM and under each software policy on `server`,
+/// memoized for the rest of the process under the full set of inputs.
+fn policy_runs(scale: Scale, server: Server, mixes_list: &[workloads::WorkloadMix]) -> Arc<PolicyRuns> {
+    let key =
+        PolicyRunsKey { scale, server: server.clone(), mix_ids: mixes_list.iter().map(|m| m.id.clone()).collect() };
+    POLICY_RUNS_MEMO.get_or_compute(key, || {
+        // Fan the mixes across cores; each worker drives its own experiment
+        // over the shared level-1 store.
+        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let groups = crate::sweep::parallel_map(threads, mixes_list, |mix| {
+            let mut exp = experiment(scale, server.clone());
+            let mut out = Vec::new();
+            let base = exp.run_no_limit(mix);
+            out.push((mix.id.clone(), "No-limit".to_string(), base.measurement));
+            for kind in PolicyKind::ALL {
+                let run = exp.run_policy(mix, kind);
+                out.push((mix.id.clone(), kind.to_string(), run.measurement));
+            }
+            out
+        });
+        groups.into_iter().flatten().collect()
+    })
 }
 
 fn find<'a>(runs: &'a [(String, String, Measurement)], mix: &str, policy: &str) -> Option<&'a Measurement> {
@@ -93,7 +118,7 @@ fn normalized_time_table(
     let mut t = Table::new(id, title, &["server", "workload", "policy", "normalized time"]);
     for server in servers {
         let runs = policy_runs(scale, server.clone(), mixes_list);
-        for (mix, policy, m) in &runs {
+        for (mix, policy, m) in runs.iter() {
             if policy == "No-limit" {
                 continue;
             }
@@ -137,7 +162,7 @@ pub fn fig5_8(scale: Scale) -> Table {
     );
     for server in [Server::pe1950(), Server::sr1500al()] {
         let runs = policy_runs(scale, server.clone(), &ch5_mixes(scale));
-        for (mix, policy, m) in &runs {
+        for (mix, policy, m) in runs.iter() {
             if policy == "No-limit" || policy == "DTM-BW" {
                 continue;
             }
@@ -156,7 +181,7 @@ pub fn fig5_9(scale: Scale) -> Table {
         "Measured memory inlet (CPU exhaust) temperature on the SR1500AL",
         &["workload", "policy", "memory inlet degC"],
     );
-    for (mix, policy, m) in &runs {
+    for (mix, policy, m) in runs.iter() {
         if policy == "No-limit" {
             continue;
         }
@@ -174,7 +199,7 @@ pub fn fig5_10(scale: Scale) -> Table {
         "CPU power consumption on the SR1500AL (normalized to DTM-BW)",
         &["workload", "policy", "CPU power W", "normalized"],
     );
-    for (mix, policy, m) in &runs {
+    for (mix, policy, m) in runs.iter() {
         if policy == "No-limit" {
             continue;
         }
@@ -193,7 +218,7 @@ pub fn fig5_11(scale: Scale) -> Table {
         "Normalized energy consumption (CPU + memory) of DTM policies on the SR1500AL (vs DTM-BW)",
         &["workload", "policy", "normalized energy"],
     );
-    for (mix, policy, m) in &runs {
+    for (mix, policy, m) in runs.iter() {
         if policy == "No-limit" || policy == "DTM-BW" {
             continue;
         }

@@ -1,7 +1,91 @@
-//! Shared experiment infrastructure: run scales, result tables and the
-//! simulator factories used by the Chapter 4 and Chapter 5 experiments.
+//! Shared experiment infrastructure: run scales, result tables, and the
+//! process-wide level-1 store and level-2 result memo that every Chapter 4
+//! and Chapter 5 figure driver draws on.
+//!
+//! # Sharing across figures
+//!
+//! The paper's two-level method characterizes a workload mix once at level
+//! 1 and reuses that characterization for every level-2 thermal/DTM run.
+//! The figure drivers keep that reuse across figure boundaries:
+//!
+//! * [`shared_store`] is the one level-1 [`CharStore`] of the process. Every
+//!   figure driver runs its cells against it (through `shared_runner` or
+//!   `PlatformExperiment::with_store`), so a design point that one figure
+//!   characterized is a hit for every later figure. The store is keyed by
+//!   [`CharStoreKey`] — mix, quantized running mode, budget, memory geometry
+//!   and a hardware fingerprint — which holds everything the closed-loop
+//!   level-1 run reads, and nothing (cooling, policy, limits) it does not.
+//! * A `Memo` caches whole level-2 results. Chapter 4 memoizes each
+//!   `run_matrix` call and Chapter 5 each `policy_runs` call, keyed by a
+//!   typed value holding every input of the call (scale, full cooling
+//!   configuration or server, model flags, float parameters as bits,
+//!   policies, stack, mixes). A figure that repeats another figure's
+//!   matrix — Figures 4.3/4.4/4.9/4.10, 4.13/4.14, 5.6/5.8–5.11 — reads
+//!   the results instead of simulating them again.
+//!
+//! Both live for exactly one process and are never written to disk. They
+//! cannot change a table: level-1 points and level-2 runs are deterministic
+//! functions of their keys, so a hit returns the bits a recomputation would
+//! produce, whatever order the figures run in and however often they repeat.
+
+use std::sync::{Arc, Mutex, OnceLock};
 
 use memtherm::prelude::*;
+
+use crate::sweep::SweepRunner;
+
+/// The process-wide level-1 characterization store shared by every figure
+/// driver (see the module docs). Created empty on first use and kept for
+/// the rest of the process; nothing is persisted.
+pub fn shared_store() -> Arc<CharStore> {
+    static STORE: OnceLock<Arc<CharStore>> = OnceLock::new();
+    Arc::clone(STORE.get_or_init(|| Arc::new(CharStore::new())))
+}
+
+/// A [`SweepRunner`] on all cores whose cells run against [`shared_store`]:
+/// the runner every Chapter 4 figure driver uses.
+pub(crate) fn shared_runner() -> SweepRunner {
+    SweepRunner::new().with_char_store(shared_store())
+}
+
+/// A process-wide memo of level-2 results: each distinct key is computed
+/// once and then shared as an `Arc`.
+///
+/// Keys are typed values compared with `PartialEq`, and a figure run holds a
+/// few dozen of them at most, so lookup is a linear scan. Concurrent first
+/// requests for one key are collapsed: one caller computes while the others
+/// wait for its result, as in [`CharStore`].
+#[derive(Debug)]
+pub(crate) struct Memo<K, V> {
+    entries: Mutex<Vec<(K, Slot<V>)>>,
+}
+
+/// One memo entry's value: set once by whichever caller computes it.
+type Slot<V> = Arc<OnceLock<Arc<V>>>;
+
+impl<K: PartialEq, V> Memo<K, V> {
+    /// An empty memo (usable in a `static`).
+    pub(crate) const fn new() -> Self {
+        Memo { entries: Mutex::new(Vec::new()) }
+    }
+
+    /// Returns the value for `key`, running `compute` if no value is stored
+    /// for it yet. The memo's lock is not held while `compute` runs.
+    pub(crate) fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
+        let cell = {
+            let mut entries = self.entries.lock().expect("memo lock poisoned");
+            match entries.iter().find(|(k, _)| *k == key) {
+                Some((_, cell)) => Arc::clone(cell),
+                None => {
+                    let cell = Arc::new(OnceLock::new());
+                    entries.push((key, Arc::clone(&cell)));
+                    cell
+                }
+            }
+        };
+        Arc::clone(cell.get_or_init(|| Arc::new(compute())))
+    }
+}
 
 /// How much work an experiment run performs.
 ///
@@ -305,6 +389,38 @@ mod tests {
         assert!(Scale::Paper.memspot_config(CoolingConfig::aohs_1_5()).copies_per_app == 50);
         assert!(Scale::Smoke.platform_runs_per_app() <= Scale::Paper.platform_runs_per_app());
         assert!(Scale::Quick.platform_instruction_scale() > 0.0);
+    }
+
+    #[test]
+    fn memo_computes_each_key_once_even_when_requests_race() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        let memo: Memo<(u32, u64), u64> = Memo::new();
+        let calls = AtomicUsize::new(0);
+        let start = Barrier::new(4);
+        let key = (1, 2.5f64.to_bits());
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    let value = memo.get_or_compute(key, || {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                        42
+                    });
+                    assert_eq!(*value, 42);
+                });
+            }
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "racing requests must share one computation");
+        let first = memo.get_or_compute(key, || unreachable!("a stored key is never recomputed"));
+        let again = memo.get_or_compute(key, || unreachable!("a stored key is never recomputed"));
+        assert!(Arc::ptr_eq(&first, &again), "hits share one allocation");
+        assert_eq!(*memo.get_or_compute((1, 2.0f64.to_bits()), || 7), 7, "a different key is a different entry");
+    }
+
+    #[test]
+    fn the_shared_store_is_one_store_per_process() {
+        assert!(Arc::ptr_eq(&shared_store(), &shared_store()));
     }
 
     #[test]

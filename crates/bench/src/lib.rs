@@ -10,6 +10,18 @@
 //! the same functions at smoke scale so `cargo bench` exercises every
 //! experiment end to end.
 //!
+//! All figure drivers run on one execution path. Chapter 4 cells go through
+//! the [`sweep::SweepRunner`] and its batched engine; Chapter 5 runs go
+//! through `platform_emu::PlatformExperiment`. Both draw level-1 points from
+//! the process-wide [`harness::shared_store`], and whole `run_matrix` /
+//! `policy_runs` results are kept in process-wide memos keyed by every
+//! input of the call. A process that renders many figures therefore
+//! characterizes each design point once and simulates each distinct matrix
+//! once. The store and the memos live only as long as the process and hold
+//! only deterministic results, so a table is the same whether its figure
+//! runs first, last or twice (`tests/paper_smoke_golden.rs` checks this
+//! against the pinned smoke tables).
+//!
 //! ```no_run
 //! use experiments::{ch4, harness::Scale};
 //! let table = ch4::fig4_3(Scale::Smoke);

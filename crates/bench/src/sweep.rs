@@ -14,10 +14,19 @@
 //! self-scheduling): each claim takes an even share of half the remaining
 //! queue, so early claims are wide and the tail drains in ever-smaller
 //! steps — a slow cell near the end strands at most one worker for one
-//! cell, not a whole fixed-size chunk. One shared store per sweep means W1@AOHS and W1@FDHS
-//! characterize each design point exactly once per process, whichever worker
-//! gets there first; racing workers block on the in-flight computation
-//! instead of duplicating it.
+//! cell, not a whole fixed-size chunk. All cells of a sweep share one
+//! store, so W1@AOHS and W1@FDHS characterize each design point exactly
+//! once, whichever worker gets there first; racing workers block on the
+//! in-flight computation instead of duplicating it.
+//!
+//! The store lives as long as the runner's caller wants. By default each
+//! [`SweepRunner::run`] starts a fresh in-memory store; with
+//! [`SweepRunner::with_char_store`] the caller injects one that outlives the
+//! sweep. The figure drivers inject the process-wide
+//! [`shared_store`](crate::harness::shared_store), so successive figures
+//! (and successive sweeps of one figure, such as Figure 4.11's one sweep
+//! per DTM interval) reuse each other's level-1 points; a
+//! [`CharStore::with_disk_cache`] store extends that across processes.
 //!
 //! Results come back in deterministic grid order regardless of which worker
 //! finished first, and — because level-1 runs are deterministic functions of

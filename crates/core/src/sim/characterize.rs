@@ -34,17 +34,23 @@
 //!   format-version mismatch discards the file wholesale rather than
 //!   risking stale semantics. Floats round-trip bit-exactly: a reloaded
 //!   point is indistinguishable from a computed one.
-//! * [`CharacterizationTable`] is the per-run view: it owns the `MulticoreSim`
-//!   that computes missing points, keeps a lock-free local cache of
-//!   `Arc<CharPoint>` handles for the modes it has already resolved, and
-//!   falls through to the shared store on local misses. Lookups return
-//!   `Arc<CharPoint>` — a cache hit never deep-clones the point's inner
-//!   vectors. This is the analogue of the paper's `Wi × D` trace set.
+//! * [`CharacterizationTable`] is the per-run view: it keeps a lock-free
+//!   local cache of `Arc<CharPoint>` handles for the modes it has already
+//!   resolved and falls through to the shared store on local misses.
+//!   Lookups return `Arc<CharPoint>` — a cache hit never deep-clones the
+//!   point's inner vectors. This is the analogue of the paper's `Wi × D`
+//!   trace set.
 //!   [`CharacterizationTable::points`] resolves a whole batch of modes at
 //!   once, fanning the distinct missing design points (and, for a single
 //!   gated point, its application rotations) across cores — closed-loop
 //!   runs are independent and deterministic, so the parallelism changes
 //!   wall-clock only, never a result.
+//! * The closed-loop runs borrow a `MulticoreSim` from a small process-wide
+//!   pool for the duration of one point and hand it back. A simulator owns
+//!   multi-megabyte shared-cache buffers; pooling allocates them once per
+//!   process instead of once per table, so a long run of sweeps does not
+//!   churn them between its long-lived allocations. Reuse cannot change a
+//!   result: every run starts from the warm-start state of its own inputs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -395,15 +401,43 @@ impl CharStore {
     }
 }
 
+/// Most idle level-1 simulators the process keeps for reuse: enough for
+/// every worker of a characterization fan-out on a small host. Beyond it
+/// the least recently returned simulator is dropped.
+const SIM_POOL_CAP: usize = 8;
+
+/// Idle level-1 simulators, least recently returned first.
+static SIM_POOL: Mutex<Vec<MulticoreSim>> = Mutex::new(Vec::new());
+
+/// Runs `f` on an idle simulator for `cpu`/`mem` taken from the
+/// process-wide pool (a new one when none matches) and returns the
+/// simulator to the pool afterwards.
+fn with_pooled_sim<R>(cpu: &CpuConfig, mem: &FbdimmConfig, f: impl FnOnce(&mut MulticoreSim) -> R) -> R {
+    let idle = {
+        let mut pool = SIM_POOL.lock().expect("simulator pool lock poisoned");
+        let found = pool.iter().rposition(|sim| sim.cpu_config() == cpu && sim.memory_config() == mem);
+        found.map(|i| pool.remove(i))
+    };
+    let mut sim = idle.unwrap_or_else(|| MulticoreSim::new(cpu.clone(), *mem));
+    let result = f(&mut sim);
+    let mut pool = SIM_POOL.lock().expect("simulator pool lock poisoned");
+    if pool.len() >= SIM_POOL_CAP {
+        pool.remove(0);
+    }
+    pool.push(sim);
+    result
+}
+
 /// Per-run view of one workload mix's characterization across running modes.
 ///
-/// The table owns the `MulticoreSim` that computes missing points and a
-/// lock-free local cache of the modes it has already resolved; local misses
-/// fall through to the shared [`CharStore`]. Lookups hand out
+/// The table keeps a lock-free local cache of the modes it has already
+/// resolved; local misses fall through to the shared [`CharStore`], and the
+/// points that must be computed run on pooled simulators. Lookups hand out
 /// `Arc<CharPoint>` handles, never deep clones.
 #[derive(Debug)]
 pub struct CharacterizationTable {
-    sim: MulticoreSim,
+    cpu: CpuConfig,
+    mem: FbdimmConfig,
     mix_id: String,
     apps: Vec<AppBehavior>,
     budget: u64,
@@ -429,6 +463,10 @@ impl CharacterizationTable {
     /// external [`CharStore`]. `mix_id` identifies the application mix in
     /// the store key, so every table created for the same mix against the
     /// same store shares one set of design points.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either hardware configuration is invalid.
     pub fn with_store(
         cpu: CpuConfig,
         mem: FbdimmConfig,
@@ -437,9 +475,12 @@ impl CharacterizationTable {
         budget: u64,
         store: Arc<CharStore>,
     ) -> Self {
+        cpu.validate().expect("invalid CPU configuration");
+        mem.validate().expect("invalid FBDIMM configuration");
         let hw_fingerprint = hardware_fingerprint(&cpu, &mem);
         CharacterizationTable {
-            sim: MulticoreSim::new(cpu, mem),
+            cpu,
+            mem,
             mix_id: mix_id.into(),
             apps,
             budget,
@@ -493,12 +534,9 @@ impl CharacterizationTable {
             return Arc::clone(p);
         }
         let store_key = self.store_key(key);
-        let store = Arc::clone(&self.store);
-        let sim = &mut self.sim;
-        let apps = &self.apps;
-        let budget = self.budget;
-        let threads = self.rotation_threads;
-        let point = store.get_or_compute(store_key, || compute_point(sim, apps, budget, threads, mode));
+        let point = self.store.get_or_compute(store_key, || {
+            compute_point(&self.cpu, &self.mem, &self.apps, self.budget, self.rotation_threads, mode)
+        });
         self.local.insert(key, Arc::clone(&point));
         point
     }
@@ -528,8 +566,7 @@ impl CharacterizationTable {
             }
         }
         if self.rotation_threads > 1 && missing.len() > 1 {
-            let cpu = self.sim.cpu_config().clone();
-            let mem = *self.sim.memory_config();
+            let (cpu, mem) = (&self.cpu, &self.mem);
             let apps = &self.apps;
             let budget = self.budget;
             let store = &self.store;
@@ -549,17 +586,14 @@ impl CharacterizationTable {
             let resolved: Vec<Vec<(ModeKey, Arc<CharPoint>)>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
-                        let cpu = cpu.clone();
                         let (jobs, cursor) = (&jobs, &cursor);
                         scope.spawn(move || {
                             let mut done = Vec::new();
-                            let mut sim: Option<MulticoreSim> = None;
                             loop {
                                 let j = cursor.fetch_add(1, Ordering::Relaxed);
                                 let Some((mode, store_key)) = jobs.get(j) else { break };
                                 let point = store.get_or_compute(store_key.clone(), || {
-                                    let sim = sim.get_or_insert_with(|| MulticoreSim::new(cpu.clone(), mem));
-                                    compute_point(sim, apps, budget, 1, mode)
+                                    compute_point(cpu, mem, apps, budget, 1, mode)
                                 });
                                 done.push((ModeKey::from_mode(mode), point));
                             }
@@ -581,39 +615,40 @@ impl CharacterizationTable {
             mix_id: self.mix_id.clone(),
             mode: key,
             budget: self.budget,
-            channels: self.sim.memory_config().logical_channels,
-            dimms_per_channel: self.sim.memory_config().dimms_per_channel,
+            channels: self.mem.logical_channels,
+            dimms_per_channel: self.mem.dimms_per_channel,
             hw_fingerprint: self.hw_fingerprint,
         }
     }
 }
 
-/// Computes one design point on `sim` (`rotation_threads` only affects
-/// wall-clock, never results).
+/// Computes one design point on pooled simulators (`rotation_threads` only
+/// affects wall-clock, never results).
 fn compute_point(
-    sim: &mut MulticoreSim,
+    cpu: &CpuConfig,
+    mem: &FbdimmConfig,
     apps: &[AppBehavior],
     budget: u64,
     rotation_threads: usize,
     mode: &RunningMode,
 ) -> CharPoint {
     if mode.makes_progress() {
-        let active = mode.active_cores.min(apps.len()).min(sim.cpu_config().cores);
+        let active = mode.active_cores.min(apps.len()).min(cpu.cores);
         if active < apps.len() {
-            rotation_averaged_point(sim, apps, budget, rotation_threads, mode)
+            rotation_averaged_point(cpu, mem, apps, budget, rotation_threads, mode)
         } else {
-            let m = sim.run(apps, mode, budget);
-            CharPoint::from_measurement(&m)
+            with_pooled_sim(cpu, mem, |sim| CharPoint::from_measurement(&sim.run(apps, mode, budget)))
         }
     } else {
-        CharPoint::idle(*mode, sim.cpu_config().cores, sim.memory_config())
+        CharPoint::idle(*mode, cpu.cores, mem)
     }
 }
 
 /// Characterizes a core-gated mode as the average over all cyclic rotations
 /// of the application list (Section 4.3.1 fairness).
 fn rotation_averaged_point(
-    sim: &mut MulticoreSim,
+    cpu: &CpuConfig,
+    mem: &FbdimmConfig,
     apps: &[AppBehavior],
     table_budget: u64,
     rotation_threads: usize,
@@ -621,7 +656,7 @@ fn rotation_averaged_point(
 ) -> CharPoint {
     let n = apps.len();
     let rotations = n.max(1);
-    let cores = sim.cpu_config().cores;
+    let cores = cpu.cores;
     let budget = (table_budget / rotations as u64).max(1_000);
 
     // Each rotation is an independent, deterministic closed-loop run (fresh
@@ -630,26 +665,26 @@ fn rotation_averaged_point(
     // every floating-point sum identical to a sequential pass. Applications
     // are handed to the simulator by reference — the rotated orders borrow
     // from `apps` instead of cloning the behaviour models once per rotation.
+    let rotation = |sim: &mut MulticoreSim, offset: usize| {
+        let rotated: Vec<&AppBehavior> = (0..n).map(|i| &apps[(offset + i) % n]).collect();
+        CharPoint::from_measurement(&sim.run_order(&rotated, mode, budget))
+    };
     let points: Vec<CharPoint> = if rotation_threads > 1 && rotations > 1 {
-        let cpu = sim.cpu_config().clone();
-        let mem = *sim.memory_config();
         let workers = rotation_threads.min(rotations);
         let mut slots: Vec<Option<CharPoint>> = (0..rotations).map(|_| None).collect();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let cpu = cpu.clone();
+                    let rotation = &rotation;
                     scope.spawn(move || {
                         // One simulator per worker, reused across its
                         // rotations.
-                        let mut sim = MulticoreSim::new(cpu, mem);
-                        (w..rotations)
-                            .step_by(workers)
-                            .map(|offset| {
-                                let rotated: Vec<&AppBehavior> = (0..n).map(|i| &apps[(offset + i) % n]).collect();
-                                (offset, CharPoint::from_measurement(&sim.run_order(&rotated, mode, budget)))
-                            })
-                            .collect::<Vec<_>>()
+                        with_pooled_sim(cpu, mem, |sim| {
+                            (w..rotations)
+                                .step_by(workers)
+                                .map(|offset| (offset, rotation(sim, offset)))
+                                .collect::<Vec<_>>()
+                        })
                     })
                 })
                 .collect();
@@ -661,13 +696,7 @@ fn rotation_averaged_point(
         });
         slots.into_iter().map(|p| p.expect("every rotation computed")).collect()
     } else {
-        let mut points = Vec::with_capacity(rotations);
-        for offset in 0..rotations {
-            let rotated: Vec<&AppBehavior> = (0..n).map(|i| &apps[(offset + i) % n]).collect();
-            let m = sim.run_order(&rotated, mode, budget);
-            points.push(CharPoint::from_measurement(&m));
-        }
-        points
+        with_pooled_sim(cpu, mem, |sim| (0..rotations).map(|offset| rotation(sim, offset)).collect())
     };
     fold_rotations(points, cores, n, mode)
 }
@@ -798,6 +827,22 @@ mod tests {
         t.point(&a);
         t.point(&b);
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn pooled_simulators_carry_no_state_between_points() {
+        // A point computed right after other mixes and modes ran on the
+        // pooled simulators must match a fresh simulator bit for bit.
+        let cpu = CpuConfig::paper_quad_core();
+        let mem = FbdimmConfig::ddr2_667_paper();
+        let full = RunningMode::full_speed(&cpu);
+        let fresh =
+            CharPoint::from_measurement(&MulticoreSim::new(cpu.clone(), mem).run(&mixes::w1().apps, &full, 15_000));
+        let mut other = CharacterizationTable::new(cpu.clone(), mem, mixes::w6().apps, 15_000).with_rotation_threads(1);
+        other.point(&full.with_active_cores(2));
+        other.point(&full);
+        let mut table = CharacterizationTable::new(cpu, mem, mixes::w1().apps, 15_000).with_rotation_threads(1);
+        assert_eq!(*table.point(&full), fresh);
     }
 
     #[test]

@@ -241,24 +241,6 @@ impl SetAssocCache {
         self.clock = 0;
     }
 
-    /// Overwrites this cache's complete state (contents, LRU clock and
-    /// statistics) with `other`'s — three flat `copy_from_slice`s, with no
-    /// allocation. This is how warmed cache images are replayed into a
-    /// persistent scratch cache: copying into already-touched pages is much
-    /// cheaper than cloning a fresh multi-megabyte buffer every run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two caches have different geometries.
-    pub fn copy_state_from(&mut self, other: &SetAssocCache) {
-        assert_eq!(self.cfg, other.cfg, "cache geometry mismatch");
-        self.tags.copy_from_slice(&other.tags);
-        self.lru.copy_from_slice(&other.lru);
-        self.meta.copy_from_slice(&other.meta);
-        self.stats = other.stats;
-        self.clock = other.clock;
-    }
-
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
         self.meta.iter().filter(|&&m| m & META_VALID != 0).count()

@@ -15,18 +15,14 @@
 //! regions are prefilled round-robin so measured miss rates reflect
 //! steady-state contention, not cold-start compulsory misses. That prefill
 //! (`hot_bytes/64` lines per instance — tens of thousands of cache accesses)
-//! depends only on the active instances' hot-region sizes in core order,
-//! *not* on the running mode, so the simulator computes each warmed cache
-//! image once and replays it for every subsequent run with the same key as
-//! a flat-buffer clone (a `memcpy`). A characterization table sweeping many
-//! modes of one mix therefore pays for each distinct prefill exactly once.
+//! is computed in closed form, set by set, straight into caches the
+//! simulator keeps across runs, so a run neither replays the access loop
+//! nor allocates cache storage.
 //!
 //! The closed loop itself is allocation-free: the memory system runs in
 //! stats-only mode (no retained completion records), queue back-pressure
 //! lives in a fixed ring, and the next core to advance comes from a cached
 //! min/runner-up schedule instead of a per-access scan.
-
-use std::collections::HashMap;
 
 use fbdimm_sim::{FbdimmConfig, MemRequest, MemorySystem, Picos, RequestKind, TrafficWindow, PS_PER_SEC};
 use workloads::AppBehavior;
@@ -163,36 +159,14 @@ impl RunMeasurement {
     }
 }
 
-/// Retention state of one warm-start cache image.
-///
-/// Building a warm image from the closed form costs about as much as
-/// cloning one, so cloning on first use would double the cost of one-shot
-/// keys for nothing. A key is merely *marked* on first use; the image is
-/// cloned and kept when the key comes back, and from then on every run
-/// replays it with a flat `memcpy`.
-#[derive(Debug, Clone)]
-enum WarmImage {
-    /// Key used once so far; not worth an image clone yet.
-    SeenOnce,
-    /// Key reused: the warmed caches, replayed on every further run.
-    Stored(Vec<SetAssocCache>),
-}
-
 /// The first-level (architecture) simulator.
 #[derive(Debug, Clone)]
 pub struct MulticoreSim {
     cpu: CpuConfig,
     mem_cfg: FbdimmConfig,
-    /// Warmed shared-cache images, keyed by the active instances' hot-region
-    /// sizes in lines, in core order — the only inputs of the (mode
-    /// independent) warm-start prefill besides the fixed cache geometry.
-    /// Replaying an image into the scratch caches is a flat-buffer `memcpy`,
-    /// so repeat runs skip the prefill entirely; the image itself is only
-    /// retained from a key's second use onward (see [`WarmImage`]).
-    warm_images: HashMap<Vec<u64>, WarmImage>,
     /// Persistent shared-cache instances the closed loop runs against. Kept
-    /// across runs so a warm start is a copy into already-touched memory
-    /// rather than a fresh multi-megabyte allocation per run.
+    /// across runs so a warm start overwrites already-touched memory rather
+    /// than allocating multiple megabytes per run.
     scratch_caches: Vec<SetAssocCache>,
 }
 
@@ -206,7 +180,7 @@ impl MulticoreSim {
         cpu.validate().expect("invalid CPU configuration");
         mem_cfg.validate().expect("invalid FBDIMM configuration");
         let scratch_caches = (0..cpu.l2_count).map(|_| SetAssocCache::new(cpu.l2)).collect();
-        MulticoreSim { cpu, mem_cfg, warm_images: HashMap::new(), scratch_caches }
+        MulticoreSim { cpu, mem_cfg, scratch_caches }
     }
 
     /// The processor configuration.
@@ -263,38 +237,22 @@ impl MulticoreSim {
         // Warm start: begin from shared caches pre-filled with the active
         // instances' hot regions (interleaved round-robin) so that measured
         // miss rates reflect steady-state cache contention rather than
-        // cold-start compulsory misses. The prefill is independent of the
-        // running mode, so the warmed image is built (closed-form) once per
-        // distinct hot-region key; a key seen repeatedly gets its image
-        // retained so later runs replay it into the persistent scratch
-        // caches with a flat `memcpy`. Storing is deferred to the second
-        // use: one-shot keys (a rotation of a mix characterized once) never
-        // pay the multi-megabyte image clone.
-        let hot_lines: Vec<u64> = cores.iter().map(|c| (c.app().hot_bytes / 64).max(1)).collect();
-        match self.warm_images.get(&hot_lines) {
-            Some(WarmImage::Stored(images)) => {
-                for (scratch, image) in self.scratch_caches.iter_mut().zip(images.iter()) {
-                    scratch.copy_state_from(image);
-                }
-            }
-            seen => {
-                let store = matches!(seen, Some(WarmImage::SeenOnce));
-                for (cache_idx, scratch) in self.scratch_caches.iter_mut().enumerate() {
-                    // Entries of this shared cache, in core order — the
-                    // round-robin interleave restricted to one cache visits
-                    // its cores in ascending index order per offset.
-                    let entries: Vec<(u64, u64)> = cores
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| self.cpu.l2_of_core(*i) == cache_idx)
-                        .map(|(i, c)| (c.base_line, hot_lines[i]))
-                        .collect();
-                    scratch.warm_fill_round_robin(&entries);
-                    scratch.reset_stats();
-                }
-                let image = if store { WarmImage::Stored(self.scratch_caches.clone()) } else { WarmImage::SeenOnce };
-                self.warm_images.insert(hot_lines, image);
-            }
+        // cold-start compulsory misses. The prefill is built in closed form
+        // straight into the persistent scratch caches, overwriting whatever
+        // the previous run left there; retaining warmed images per key would
+        // save little time for megabytes per image.
+        for (cache_idx, scratch) in self.scratch_caches.iter_mut().enumerate() {
+            // Entries of this shared cache, in core order — the round-robin
+            // interleave restricted to one cache visits its cores in
+            // ascending index order per offset.
+            let entries: Vec<(u64, u64)> = cores
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| self.cpu.l2_of_core(*i) == cache_idx)
+                .map(|(_, c)| (c.base_line, (c.app().hot_bytes / 64).max(1)))
+                .collect();
+            scratch.warm_fill_round_robin(&entries);
+            scratch.reset_stats();
         }
         let caches = &mut self.scratch_caches;
 

@@ -199,8 +199,8 @@ fn multicore_run_measurements_match_pre_refactor_goldens() {
 
 #[test]
 fn repeated_runs_reuse_warm_state_without_drift() {
-    // Back-to-back runs of the same (mix, mode) — the second run reuses the
-    // cached warm cache image — must be bit-identical to the first.
+    // Back-to-back runs of the same (mix, mode) — the second run re-warms the
+    // caches the first run left behind — must be bit-identical to the first.
     let cpu = CpuConfig::paper_quad_core();
     let mut sim = MulticoreSim::new(cpu.clone(), FbdimmConfig::ddr2_667_paper());
     let mode = RunningMode::full_speed(&cpu);

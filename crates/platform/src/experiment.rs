@@ -7,7 +7,10 @@
 //! strength) forms the level-2 plant, and the software DTM policies of
 //! Section 5.2.2 act on it once per second through noisy AMB sensors.
 
+use std::sync::Arc;
+
 use memtherm::dtm::no_limit::NoLimit;
+use memtherm::sim::characterize::CharStore;
 use memtherm::sim::memspot::{MemSpot, MemSpotConfig, MemSpotResult, TempSample};
 use workloads::{AppBehavior, WorkloadMix};
 
@@ -29,7 +32,11 @@ pub struct PlatformRun {
 #[derive(Debug)]
 pub struct PlatformExperiment {
     server: Server,
+    /// Simulator for the policy runs; records no temperature trace.
     spot: MemSpot,
+    /// Simulator for the homogeneous-workload curves, the only runs whose
+    /// temperature trace is read. Shares `spot`'s level-1 store.
+    curve_spot: MemSpot,
     runs_per_app: usize,
 }
 
@@ -42,8 +49,20 @@ impl PlatformExperiment {
     }
 
     /// Creates the driver with an explicit batch size and instruction scale
-    /// (tests use small values; normalized results are preserved).
+    /// (tests use small values; normalized results are preserved) and a
+    /// private level-1 store.
     pub fn with_scale(server: Server, runs_per_app: usize, instruction_scale: f64) -> Self {
+        Self::with_store(server, runs_per_app, instruction_scale, Arc::new(CharStore::new()))
+    }
+
+    /// [`Self::with_scale`] with the level-1 characterizations kept in (and
+    /// shared through) an external [`CharStore`]. Drivers that run many
+    /// experiments in one process pass one store to all of them, so each
+    /// design point of a server's hardware is characterized once. The store
+    /// key carries a hardware fingerprint, so experiments on different
+    /// servers can share a store without aliasing. Results are identical to
+    /// a private store's.
+    pub fn with_store(server: Server, runs_per_app: usize, instruction_scale: f64, store: Arc<CharStore>) -> Self {
         let mut cfg = MemSpotConfig::paper(server.cooling).with_integrated(Some(server.interaction_degree));
         cfg.limits = server.thermal_limits();
         cfg.ambient_override_c = Some(server.system_ambient_c);
@@ -51,10 +70,11 @@ impl PlatformExperiment {
         cfg.copies_per_app = runs_per_app;
         cfg.instruction_scale = instruction_scale;
         cfg.characterization_budget = 40_000;
-        cfg.record_temp_trace = true;
         cfg.max_sim_time_s = 40_000.0;
-        let spot = MemSpot::with_hardware(server.cpu.clone(), server.mem, cfg);
-        PlatformExperiment { server, spot, runs_per_app }
+        let curve_cfg = MemSpotConfig { record_temp_trace: true, ..cfg };
+        let curve_spot = MemSpot::with_store(server.cpu.clone(), server.mem, curve_cfg, Arc::clone(&store));
+        let spot = MemSpot::with_store(server.cpu.clone(), server.mem, cfg, store);
+        PlatformExperiment { server, spot, curve_spot, runs_per_app }
     }
 
     /// The server being emulated.
@@ -91,11 +111,13 @@ impl PlatformExperiment {
 
     /// Runs four copies of one application with no DTM control and returns
     /// the AMB temperature trace of the first `duration_s` seconds — the
-    /// experiment behind Figures 5.4 and 5.5.
+    /// experiment behind Figures 5.4 and 5.5. These are the only runs of the
+    /// driver that record a trace.
     pub fn homogeneous_temperature_curve(&mut self, app: &AppBehavior, duration_s: f64) -> Vec<TempSample> {
         let mix = WorkloadMix::homogeneous(app.clone(), self.server.cpu.cores);
-        let run = self.run_no_limit(&mix);
-        run.result.temp_trace.into_iter().filter(|s| s.time_s <= duration_s).collect()
+        let mut policy = NoLimit::new(&self.server.cpu);
+        let result = self.curve_spot.run(&mix, &mut policy);
+        result.temp_trace.into_iter().filter(|s| s.time_s <= duration_s).collect()
     }
 
     /// Average AMB temperature over a homogeneous run of one application

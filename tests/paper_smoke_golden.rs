@@ -1,0 +1,148 @@
+//! Figure-level golden net: all 27 experiment tables at smoke scale, rendered
+//! in-process exactly as `paper all smoke` prints them, must match the
+//! checked-in `tests/golden/paper_all_smoke.txt` byte for byte.
+//!
+//! The golden file is the output whose SHA-256 `perfbench/pins.json` pins for
+//! the `figures_smoke` benchmark workload; the test checks that the two agree.
+//! Rerunning the tables in reverse order in the same process then proves that
+//! the process-wide level-1 store and level-2 memo make no table depend on
+//! run order or repetition, and the store's counters prove each distinct
+//! level-1 design point was characterized exactly once.
+//!
+//! The run takes about a second in release mode and far longer in debug, so
+//! the test is ignored in debug builds:
+//!
+//! ```text
+//! cargo test --release --test paper_smoke_golden
+//! ```
+
+use std::collections::HashMap;
+
+use experiments::harness::{shared_store, Scale};
+use experiments::{all_experiment_ids, run_experiment};
+
+const GOLDEN: &str = include_str!("golden/paper_all_smoke.txt");
+const PINS: &str = include_str!("../perfbench/pins.json");
+
+/// `ids` rendered as `paper` prints them (each table followed by a blank
+/// line), keyed by id.
+fn render(ids: &[&str]) -> HashMap<String, String> {
+    ids.iter()
+        .map(|&id| {
+            let table = run_experiment(id, Scale::Smoke).unwrap_or_else(|e| panic!("{id}: {e}"));
+            (id.to_string(), format!("{table}\n"))
+        })
+        .collect()
+}
+
+/// The tables concatenated in paper order: the full `paper all smoke` stdout.
+fn in_paper_order(tables: &HashMap<String, String>) -> String {
+    all_experiment_ids().iter().map(|id| tables[*id].as_str()).collect()
+}
+
+/// The first line that differs, for a readable failure.
+fn first_difference(got: &str, want: &str) -> String {
+    let line = got
+        .lines()
+        .zip(want.lines())
+        .position(|(g, w)| g != w)
+        .unwrap_or(got.lines().count().min(want.lines().count()));
+    format!(
+        "line {}:\n  got:  {:?}\n  want: {:?}",
+        line + 1,
+        got.lines().nth(line).unwrap_or("<end>"),
+        want.lines().nth(line).unwrap_or("<end>")
+    )
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "renders every smoke-scale figure; run with --release")]
+fn paper_all_smoke_matches_the_golden_tables_in_any_order() {
+    let pinned = PINS
+        .split("\"figures_smoke_sha256\"")
+        .nth(1)
+        .and_then(|rest| rest.split('"').nth(1))
+        .expect("pins.json pins figures_smoke_sha256");
+    assert_eq!(sha256_hex(GOLDEN.as_bytes()), pinned, "the golden file is not the pinned benchmark output");
+
+    let ids = all_experiment_ids();
+    assert_eq!(ids.len(), 27);
+    let forward = in_paper_order(&render(&ids));
+    assert!(
+        forward == GOLDEN,
+        "paper all smoke drifted from the golden tables, {}",
+        first_difference(&forward, GOLDEN)
+    );
+
+    let reversed: Vec<&str> = ids.iter().rev().copied().collect();
+    let backward = in_paper_order(&render(&reversed));
+    assert!(backward == forward, "a reverse-order rerun changed the tables, {}", first_difference(&backward, &forward));
+
+    let store = shared_store();
+    assert!(!store.is_empty(), "the figures must characterize through the shared store");
+    assert_eq!(store.misses() as usize, store.len(), "every distinct level-1 key is characterized exactly once");
+}
+
+/// SHA-256 (FIPS 180-4) of `data` as lowercase hex.
+fn sha256_hex(data: &[u8]) -> String {
+    const K: [u32; 64] = [
+        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5, 0xd807aa98,
+        0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+        0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8,
+        0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+        0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819,
+        0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+        0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
+        0xc67178f2,
+    ];
+    let mut h: [u32; 8] =
+        [0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19];
+    let mut message = data.to_vec();
+    message.push(0x80);
+    while message.len() % 64 != 56 {
+        message.push(0);
+    }
+    message.extend_from_slice(&((data.len() as u64) * 8).to_be_bytes());
+    for block in message.chunks_exact(64) {
+        let mut w = [0u32; 64];
+        for (i, word) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = hh.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            hh = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (state, value) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+            *state = state.wrapping_add(value);
+        }
+    }
+    h.iter().map(|word| format!("{word:08x}")).collect()
+}
+
+#[test]
+fn sha256_matches_the_standard_test_vectors() {
+    assert_eq!(sha256_hex(b""), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    assert_eq!(sha256_hex(b"abc"), "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    assert_eq!(
+        sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+    );
+}
