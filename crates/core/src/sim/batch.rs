@@ -16,12 +16,10 @@
 //!    lanes of tier 2 across OS threads, column-chunking dominant lanes so
 //!    every worker has work; still *bit-identical* (lanes are independent
 //!    and chunking only reorders independent per-cell operations). The
-//!    per-window DTM/accounting pass uses the column-split traversal by
-//!    default ([`DecisionPass::ColumnSplit`]): post-step bookkeeping,
-//!    decisions, and deferred column removals run as separate
-//!    column-disjoint phases, so a chunked lane's decision pass
-//!    parallelizes exactly like its RC sweep — nothing in the window loop
-//!    is serial within a lane chunk anymore.
+//!    per-window DTM/accounting pass is column-split: post-step
+//!    bookkeeping, decisions, and deferred column removals run as separate
+//!    column-disjoint phases, so nothing in the window loop is serial on
+//!    lane-global state.
 //! 4. **Steady / periodic fast-forward** — on top of any of the above, the
 //!    steady-state and periodic (limit-cycle) detectors replay
 //!    provably-predictable window spans analytically, keeping every
@@ -53,35 +51,51 @@
 //! [`BatchedSimEngine`] exploits that: cells whose scenes share a device
 //! stack, a step length and an ambient time constant are grouped into
 //! **lanes**, and each lane steps all of its cells in lockstep over one
-//! shared cell-major temperature/peak matrix (row = `position × depth +
-//! layer`, column = cell). The per-window RC update then becomes a tight
-//! inner loop over the cells of a row — contiguous, branch-free and
-//! auto-vectorizable — instead of a pointer-chasing scene walk per cell.
-//! Non-identity stacks (rank pairs, 3D stacks) keep their per-lane Ψ
-//! superposition matrices cached per cell column, rewritten only on plan
-//! change, so the lockstep sweep never re-derives the stack coupling per
-//! window.
+//! shared temperature/peak matrix stored column by column (column = cell,
+//! row = `position × depth + layer`, each cell's rows contiguous).
 //!
-//! Everything that is *per-cell logic* (DTM decisions, actuation plans,
-//! window-power rebuilds, batch progress, energy accounting) stays exactly
-//! the per-cell code path, executed cell-by-cell in the same order as
-//! [`SimEngine::run`], so every cell's trajectory is **bit-identical** to a
-//! per-cell run: the lane only restructures the memory layout of the RC
-//! arithmetic, not its operations or their order. Cells that finish (batch
-//! complete or safety stop) drop out of the hot lane by a column
-//! swap-remove, which moves no arithmetic and therefore cannot perturb the
-//! remaining cells.
+//! # The literal window step
 //!
-//! Two further layout moves keep the per-window overhead below the
-//! per-cell engine's. Window powers are constant between plan changes, so
-//! each lane keeps its members' per-position powers in a
-//! `positions × cells` matrix rewritten per column on plan change — the RC
-//! sweep reads power rows contiguously instead of chasing each cell's
-//! window struct. And policies that declare they read only the scalar
-//! device maxima ([`DtmPolicy::observes_field`]) are observed straight
-//! from the sweep's running per-cell maxima (`f64::max` over a fixed node
-//! set is order-independent, so the bits match a full scene fold) instead
-//! of re-synthesizing the per-position field at every DTM interval.
+//! A literal window costs one RC sweep plus one DTM/accounting pass per
+//! member, and both are built around what stays constant between plan
+//! changes:
+//!
+//! - **Cell-outer RC kernel** (`lane_rc`). The per-layer decay factors
+//!   and device kinds are expanded into per-row lane tables when the lane
+//!   is built; each window then walks every member's rows in one
+//!   contiguous pass. Lanes are narrow in practice (a guided sweep
+//!   dispatch hands each engine 1–3 cells), and a row-major sweep across
+//!   cells spent most of its time there on per-row loop overhead. Each
+//!   row's stable temperature is evaluated by one helper (`row_stable`)
+//!   from power terms cached per column, in
+//!   exactly the float-op order of `DimmThermalScene::step` — the
+//!   identity-split FBDIMM sum `ambient + w_b·ψ_b + w_d·ψ_d`, or `ambient +
+//!   sup` from the cached Ψ superposition on non-identity stacks. No
+//!   `mul_add`: a fused multiply-add rounds once where the scene rounds
+//!   twice, which would break bit-identity with [`SimEngine::run`].
+//! - **Per-plan memo** (`PlanEntry`). Everything a plan change rebuilds —
+//!   mode, window power, the cached power terms of the lane column, the
+//!   throttled-channel mask and the per-window accounting amounts — is
+//!   built once per distinct plan by
+//!   `build_plan_entry` and kept in a small per-cell memo (bounded by
+//!   `PLAN_MEMO_CAP`, overwritten round-robin when full). A plan flip
+//!   back to a known plan is a memo hit and a column copy. The envelope
+//!   burst takes its plan entries from the memo or the same builder and
+//!   hands its active entry back to the memo when it falls back to the
+//!   lane.
+//!
+//! Everything that is *per-cell logic* (DTM decisions, batch progress,
+//! energy accounting) is executed cell-by-cell in the same order as
+//! [`SimEngine::run`], and every cached value is the very expression the
+//! per-cell loop evaluates, so every cell's trajectory is
+//! **bit-identical** to a per-cell run. Cells that finish (batch complete
+//! or safety stop) drop out of the hot lane by a column swap-remove, which
+//! moves no arithmetic and therefore cannot perturb the remaining cells.
+//! Policies that declare they read only the scalar device maxima
+//! ([`DtmPolicy::observes_field`]) are observed straight from the sweep's
+//! running per-cell maxima (`f64::max` over a fixed node set is
+//! order-independent, so the bits match a full scene fold) instead of
+//! re-synthesizing the per-position field at every DTM interval.
 //!
 //! # Steady-state fast-forward
 //!
@@ -193,11 +207,11 @@ use workloads::{BatchJob, WorkloadMix};
 use crate::dtm::plan::{ActuationPlan, PlanTrafficStats};
 use crate::dtm::policy::DtmPolicy;
 use crate::power::fbdimm::{FbdimmPowerBreakdown, FbdimmPowerModel};
-use crate::sim::characterize::{CharPoint, CharStore, CharacterizationTable, ModeKey};
+use crate::sim::characterize::{CharStore, CharacterizationTable, ModeKey};
 use crate::sim::energy::EnergyAccumulator;
 use crate::sim::engine::{assemble_result, RunTotals, SimEngine, WindowPower};
 use crate::sim::memspot::{MemSpotConfig, MemSpotResult, TempSample};
-use crate::thermal::params::{DeviceLayerKind, StackTopology};
+use crate::thermal::params::DeviceLayerKind;
 use crate::thermal::rc::ThermalNode;
 use crate::thermal::scene::{DimmThermalScene, ThermalObservation};
 
@@ -288,32 +302,15 @@ const ENV_FP_GUARD_C: f64 = 1e-7;
 /// windows a slow thermal transient spans at the paper's 10 ms cadence.
 const ENV_FROZEN_STREAK: u32 = 64;
 
-/// How the per-window DTM/accounting pass traverses a lane's members.
-///
-/// Both traversals run the identical per-cell operations in the identical
-/// per-cell order (each cell's window-`k` bookkeeping before its
-/// window-`k+1` decision), so they are **bit-identical** — cells are
-/// mutually independent and every lane-level write of the pass
-/// (`write_power_column`, the ambient scratch, the removal swap) touches
-/// only the acting member's column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecisionPass {
-    /// Phase-separated traversal: every member's post-step bookkeeping,
-    /// then every member's decision (observation synthesis +
-    /// [`DtmPolicy::decide`] + plan application), then the deferred
-    /// column removals in descending slot order. Each phase is
-    /// column-disjoint by construction, which is what lets
-    /// [`BatchedSimEngine::run_with_workers`]'s column chunks of a split
-    /// lane run their decision passes concurrently — no step of the pass
-    /// is serialized on lane-global state.
-    #[default]
-    ColumnSplit,
-    /// The historical fused traversal: one pass interleaving each member's
-    /// post-step and next-window decision, with removals applied inline.
-    /// Kept as the serial reference the column-split pass is asserted
-    /// bit-identical against.
-    Fused,
-}
+/// Bound on a cell's per-plan memo ([`CellState::plans`]). On the
+/// 12-cell stateful-policy benchmark grid (DTM-TS, BW/ACG/CDVFS+PID, CBW
+/// and MIG, 10 ms) every cell but MIG's decides 2–5 distinct plans, and
+/// 429,660 of its 429,814 plan changes are memo hits; MIG's steering plans
+/// (47 and 72 distinct per cell) never recur. Once the memo is full a new
+/// plan overwrites the slots round-robin, so a cell like MIG's costs one
+/// entry build per plan change — what every plan change cost without the
+/// memo.
+const PLAN_MEMO_CAP: usize = 16;
 
 /// Tuning knobs of the batched execution tier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -329,9 +326,6 @@ pub struct BatchOptions {
     /// Number of consecutive DTM decisions that must return an unchanged
     /// plan before a cell is considered for fast-forward.
     pub steady_decisions: u32,
-    /// How the per-window DTM/accounting pass traverses a lane (the two
-    /// variants are bit-identical; see [`DecisionPass`]).
-    pub decision_pass: DecisionPass,
     /// Envelope fast-forward tolerance ε_env: the widest per-layer
     /// temperature band (in degrees) a slipping orbit may span and still be
     /// taken over by the envelope replayer. `0.0` (or any non-positive
@@ -343,13 +337,7 @@ pub struct BatchOptions {
 
 impl Default for BatchOptions {
     fn default() -> Self {
-        BatchOptions {
-            fast_forward: true,
-            steady_epsilon_c: 0.05,
-            steady_decisions: 3,
-            decision_pass: DecisionPass::default(),
-            envelope_tolerance: 0.05,
-        }
+        BatchOptions { fast_forward: true, steady_epsilon_c: 0.05, steady_decisions: 3, envelope_tolerance: 0.05 }
     }
 }
 
@@ -579,7 +567,7 @@ fn run_lane_work(work: &mut LaneWork, engines: &[SimEngine<'_>], options: &Batch
     let LaneWork { globals, lane, states, results } = work;
     lane_pre(lane, globals, engines, states, options, results);
     while !lane.members.is_empty() {
-        lane_rc(lane, states);
+        lane_rc(lane);
         lane_post_pre(lane, globals, engines, states, options, results);
     }
 }
@@ -598,19 +586,21 @@ struct CellState {
     full_shares: Vec<f64>,
     idle: Vec<FbdimmPowerBreakdown>,
     observation: ThermalObservation,
+    /// Planned-traffic scratch of [`build_plan_entry`].
     plan_traffic: Vec<DimmTraffic>,
-    plan_stats: PlanTrafficStats,
     step_s: f64,
     time_s: f64,
     next_dtm_s: f64,
     next_trace_s: f64,
-    plan: ActuationPlan,
-    mode: RunningMode,
-    mode_key: ModeKey,
-    point: Arc<CharPoint>,
-    progressing: bool,
-    window: WindowPower,
-    overhead_s: f64,
+    /// The per-plan memo (at most [`PLAN_MEMO_CAP`] entries); `plans[cur]`
+    /// is the active plan with everything derived from it.
+    plans: Vec<PlanEntry>,
+    cur: usize,
+    /// The slot the next build overwrites once the memo is full.
+    memo_next: usize,
+    /// Whether the current window pays the DTM switch overhead (its
+    /// decision changed the plan).
+    overheaded: bool,
     total_instructions: f64,
     total_bytes: f64,
     total_misses: f64,
@@ -652,8 +642,6 @@ struct CellState {
     env_fails: u32,
     /// Fixed-point scratch for the fast-forward engagement check.
     fp: Vec<f64>,
-    /// Column scratch for syncing lane columns back into the scene.
-    col_scratch: Vec<f64>,
 }
 
 impl CellState {
@@ -662,14 +650,9 @@ impl CellState {
         let batch = BatchJob::new(mix.clone(), config.copies_per_app, engine.cpu.cores, config.instruction_scale);
         let scene = engine.make_scene();
         let full_mode = RunningMode::full_speed(engine.cpu);
-        let full_point = table.point(&full_mode);
-        let full_shares = full_point.core_share.clone();
+        let full_shares = table.point(&full_mode).core_share.clone();
         let idle = engine.idle_powers();
         let observation = scene.observe();
-        let mode = full_mode;
-        let mode_key = ModeKey::from_mode(&mode);
-        let progressing = mode.makes_progress() && full_point.instr_rate_total > 0.0;
-        let window = engine.window_power(&scene, &idle, &full_point, &full_point.dimm_traffic, &mode, progressing);
         let (max_amb, max_dram) = scene.max_temps_c();
         policy.reset();
         let cycle_enabled = options.fast_forward
@@ -677,25 +660,21 @@ impl CellState {
             && policy.decide_is_pure()
             && !policy.observes_field()
             && config.window_s.min(config.dtm_interval_s).to_bits() == config.dtm_interval_s.to_bits();
-        CellState {
+        let mut st = CellState {
             batch,
             energy: EnergyAccumulator::new(),
             full_shares,
             idle,
             observation,
             plan_traffic: Vec::new(),
-            plan_stats: PlanTrafficStats::identity(),
             step_s: config.window_s.min(config.dtm_interval_s),
             time_s: 0.0,
             next_dtm_s: 0.0,
             next_trace_s: 0.0,
-            plan: ActuationPlan::global(full_mode),
-            mode,
-            mode_key,
-            point: full_point,
-            progressing,
-            window,
-            overhead_s: 0.0,
+            plans: Vec::new(),
+            cur: 0,
+            memo_next: 0,
+            overheaded: false,
             total_instructions: 0.0,
             total_bytes: 0.0,
             total_misses: 0.0,
@@ -718,54 +697,78 @@ impl CellState {
             env_backoff: 0,
             env_fails: 0,
             fp: Vec::new(),
-            col_scratch: Vec::new(),
             mix,
             policy,
             table,
             scene,
+        };
+        st.switch_plan(engine, ActuationPlan::global(full_mode));
+        st
+    }
+
+    /// The active plan's memo entry.
+    fn entry(&self) -> &PlanEntry {
+        &self.plans[self.cur]
+    }
+
+    /// Makes `plan` the active plan: a memo hit just re-points
+    /// [`CellState::cur`]; a miss builds the entry through
+    /// [`build_plan_entry`] (the one builder every tier shares) and adopts
+    /// it.
+    fn switch_plan(&mut self, engine: &SimEngine<'_>, plan: ActuationPlan) {
+        if let Some(i) = self.plans.iter().position(|e| e.plan == plan) {
+            self.cur = i;
+            return;
+        }
+        let entry = build_plan_entry(self, engine, plan);
+        self.adopt(entry);
+    }
+
+    /// Makes an already built entry the active plan: re-points to the
+    /// memo's copy when it holds the plan, otherwise stores `entry`,
+    /// overwriting the memo round-robin once it holds [`PLAN_MEMO_CAP`]
+    /// entries.
+    fn adopt(&mut self, entry: PlanEntry) {
+        if let Some(i) = self.plans.iter().position(|e| e.plan == entry.plan) {
+            self.cur = i;
+        } else if self.plans.len() < PLAN_MEMO_CAP {
+            self.cur = self.plans.len();
+            self.plans.push(entry);
+        } else {
+            self.cur = self.memo_next;
+            self.memo_next = (self.memo_next + 1) % PLAN_MEMO_CAP;
+            self.plans[self.cur] = entry;
         }
     }
 }
 
 /// One lockstep lane: the cells whose scenes share a device stack, a step
-/// length and an ambient time constant, plus the shared cell-major
-/// temperature/peak matrix they step over. Member position `c` owns matrix
-/// column `c`; removing a member swap-removes its column (a pure copy, so
-/// the surviving cells' bits are untouched).
+/// length and an ambient time constant, plus the shared temperature/peak
+/// matrix they step over. Member position `c` owns matrix column `c` — the
+/// contiguous rows `c·rows .. (c+1)·rows` of every per-row matrix; removing
+/// a member swap-removes its column (a pure copy, so the surviving cells'
+/// bits are untouched).
 #[derive(Debug)]
 struct Lane {
     members: Vec<usize>,
-    /// Column capacity (the member count at allocation time).
-    stride: usize,
     rows: usize,
     depth: usize,
-    /// Row-major `rows × stride` matrices, column = cell.
+    /// Per-row matrices, one contiguous `rows`-long column per member.
     temps: Vec<f64>,
     peaks: Vec<f64>,
-    /// Cached Ψ superposition for non-identity stacks: `rows × stride`,
-    /// `sup[(pos·depth + l)·stride + c] = Σ_j watts_j(c, pos)·Ψ[l][j]`.
-    /// Window powers only change on plan transitions, so the split +
-    /// Ψ-row dot products are hoisted out of the RC sweep and rewritten per
-    /// column alongside `wamb`/`wdram`; the sweep reads
-    /// `stable = ambient + sup` — the same `t += (s − t)·α` row loop the
-    /// identity-split FBDIMM path runs. Empty for identity-split lanes.
-    sup: Vec<f64>,
+    /// Each member's cached per-row power terms ([`PlanEntry::stab_a`] /
+    /// [`PlanEntry::stab_b`] of its active plan), copied in on plan change;
+    /// the RC kernel's stable temperature is
+    /// [`row_stable`]`(amb, term_a, term_b)`.
+    term_a: Vec<f64>,
+    term_b: Vec<f64>,
     /// Per-window scratch: each member's post-step ambient.
     amb: Vec<f64>,
-    /// Per-column scratch: the stack's layer power split (used while
-    /// rewriting a member's cached superposition column).
-    watts: Vec<f64>,
-    /// `positions × stride` buffer/DRAM window powers, column = cell.
-    /// Window powers only change when a cell's plan changes, so these are
-    /// rewritten per column on plan change instead of gathered per window.
-    wamb: Vec<f64>,
-    wdram: Vec<f64>,
     /// Whether the stack routes buffer watts to layer 0 and DRAM watts to
-    /// layer 1 verbatim (the 2-layer FBDIMM case): the RC sweep then skips
-    /// the per-cell power split entirely.
+    /// layer 1 verbatim (the 2-layer FBDIMM case; see [`row_stable`]).
     identity_split: bool,
-    /// Per-window scratch: each member's running hottest buffer / DRAM
-    /// temperature, accumulated inside the RC row sweep.
+    /// Per-window scratch: each member's hottest buffer / DRAM
+    /// temperature, accumulated inside the RC kernel.
     max_buffer: Vec<f64>,
     max_dram: Vec<f64>,
     /// Whether the lane's shared stack has a buffer die (`false` ⇒ the
@@ -773,85 +776,71 @@ struct Lane {
     has_buffer: bool,
     ambient_alpha: f64,
     layer_alphas: Vec<f64>,
+    /// The per-layer decay factor and device kind expanded to one entry per
+    /// row of a column, so the RC kernel walks a column in one flat pass.
+    row_alphas: Vec<f64>,
+    row_is_buffer: Vec<bool>,
 }
 
 impl Lane {
-    /// Copies member `j`'s temperature column into `out`.
-    fn copy_temp_column(&self, j: usize, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend((0..self.rows).map(|r| self.temps[r * self.stride + j]));
-    }
-
-    /// Copies member `j`'s peak column into `out`.
-    fn copy_peak_column(&self, j: usize, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend((0..self.rows).map(|r| self.peaks[r * self.stride + j]));
+    /// Member `j`'s slice of every per-row matrix.
+    fn col(&self, j: usize) -> std::ops::Range<usize> {
+        j * self.rows..(j + 1) * self.rows
     }
 
     /// Removes member `j`, moving the last member's column into slot `j`.
+    /// The column-split pass defers removals until after every survivor's
+    /// pre-step, so the moved column carries the state the next RC sweep
+    /// reads: temperatures, peaks, power terms and the fresh post-step
+    /// ambient. The per-member maxima are rewritten by that sweep before
+    /// anything reads them again and need no move.
     fn remove(&mut self, j: usize) {
         let last = self.members.len() - 1;
         if j != last {
-            for r in 0..self.rows {
-                let base = r * self.stride;
-                self.temps[base + j] = self.temps[base + last];
-                self.peaks[base + j] = self.peaks[base + last];
+            let (from, to) = (self.col(last), j * self.rows);
+            for m in [&mut self.temps, &mut self.peaks, &mut self.term_a, &mut self.term_b] {
+                m.copy_within(from.clone(), to);
             }
-            if !self.sup.is_empty() {
-                for r in 0..self.rows {
-                    let base = r * self.stride;
-                    self.sup[base + j] = self.sup[base + last];
-                }
-            }
-            for pos in 0..self.rows / self.depth {
-                let base = pos * self.stride;
-                self.wamb[base + j] = self.wamb[base + last];
-                self.wdram[base + j] = self.wdram[base + last];
-            }
-            // The fused post+pre traversal removes a member *before* the
-            // moved last member's post-step bookkeeping has read its
-            // per-window maxima, so those columns move too. The ambient
-            // column moves for the column-split traversal: its deferred
-            // removals run *after* every survivor's pre-step has written
-            // `amb` at its original slot, so the swap must carry that
-            // fresh value (under the fused traversal the moved member's
-            // pre-step overwrites `amb[j]` right after the swap, making
-            // the copy redundant but harmless).
-            self.max_buffer[j] = self.max_buffer[last];
-            self.max_dram[j] = self.max_dram[last];
             self.amb[j] = self.amb[last];
         }
         self.members.swap_remove(j);
     }
 
-    /// Rewrites member `j`'s window-power column (after a plan change),
-    /// including the cached Ψ superposition on non-identity stacks.
-    fn write_power_column(&mut self, j: usize, positions: &[FbdimmPowerBreakdown], topology: &StackTopology) {
-        for (pos, p) in positions.iter().enumerate() {
-            self.wamb[pos * self.stride + j] = p.amb_watts;
-            self.wdram[pos * self.stride + j] = p.dram_watts;
-            if !self.identity_split {
-                topology.split_watts_into(p.amb_watts, p.dram_watts, &mut self.watts);
-                for l in 0..self.depth {
-                    self.sup[(pos * self.depth + l) * self.stride + j] = topology.psi_superpose(&self.watts, l);
-                }
-            }
-        }
+    /// Points member `j`'s power-term column at plan entry `e` (after a plan
+    /// change).
+    fn write_power_column(&mut self, j: usize, e: &PlanEntry) {
+        let col = self.col(j);
+        self.term_a[col.clone()].copy_from_slice(&e.stab_a);
+        self.term_b[col].copy_from_slice(&e.stab_b);
     }
 
-    /// The stable (fixed-point target) temperature the next RC sweep will
-    /// use for member `j`, row `r` — read back out of the cached power /
-    /// superposition matrices with exactly the float-op sequence of
-    /// [`lane_rc`], so a recorded cycle window replays the very bits the
-    /// lane would have stepped.
-    fn stable_for(&self, j: usize, r: usize, topology: &StackTopology) -> f64 {
-        if self.identity_split {
-            let pos = r / self.depth;
-            let psi = topology.psi_row(r % self.depth);
-            self.amb[j] + self.wamb[pos * self.stride + j] * psi[0] + self.wdram[pos * self.stride + j] * psi[1]
-        } else {
-            self.amb[j] + self.sup[r * self.stride + j]
-        }
+    /// The stable (fixed-point target) temperature the next RC sweep uses
+    /// for member `j`, row `r` — the kernel's own [`row_stable`] call on the
+    /// same cached terms, so a recorded cycle window replays the very bits
+    /// the lane would have stepped.
+    fn stable_for(&self, j: usize, r: usize) -> f64 {
+        let i = j * self.rows + r;
+        row_stable(self.amb[j], self.term_a[i], self.term_b[i], self.identity_split)
+    }
+}
+
+/// The RC stable temperature of one row: the post-step ambient plus the
+/// row's cached power terms, in the float-op order of
+/// `DimmThermalScene::step`. Identity-split (FBDIMM) stacks accumulate
+/// ambient-first, `(ambient + w_b·ψ_b) + w_d·ψ_d` with `a = w_b·ψ_b` and
+/// `b = w_d·ψ_d`; other stacks add the Ψ superposition `a` last and carry
+/// no `b`. Every tier that evaluates a row's stable temperature — the lane
+/// kernel, cycle recording and the envelope burst — goes through here.
+/// Always inlined: `envelope_burst` is large enough that the optimizer
+/// otherwise keeps this as a call inside its per-window replay loop, which
+/// measured ~6% slower on the fast-forwarded benchmark grid (2-vCPU
+/// x86-64 host).
+#[inline(always)]
+fn row_stable(amb: f64, a: f64, b: f64, identity_split: bool) -> f64 {
+    if identity_split {
+        amb + a + b
+    } else {
+        amb + a
     }
 }
 
@@ -913,74 +902,54 @@ fn lane_works(states: Vec<CellState>, groups: Vec<Vec<usize>>) -> Vec<LaneWork> 
 }
 
 /// Builds one lane over `members` (indices into `states`) and seeds its
-/// matrices from the cells' freshly built scenes.
+/// matrices from the cells' freshly built scenes and active plan entries.
 fn build_lane(states: &[CellState], members: Vec<usize>) -> Lane {
     let rep = &states[members[0]];
     let depth = rep.scene.depth();
-    let positions = rep.scene.len();
-    let rows = positions * depth;
-    let stride = members.len();
+    let rows = rep.scene.len() * depth;
+    let width = members.len();
     let step_s = rep.step_s;
-    let tau_s = rep.scene.ambient_params().tau_cpu_dram_s;
-    let mut temps = vec![0.0; rows * stride];
-    let mut peaks = vec![0.0; rows * stride];
-    let mut wamb = vec![0.0; positions * stride];
-    let mut wdram = vec![0.0; positions * stride];
-    // Seed the per-member maxima from the initial field so a
-    // first-window scalar observation (before any lane sweep has
-    // refreshed the accumulators) sees the same maxima a fresh
-    // `observe` would.
     let topology = rep.scene.topology();
-    let layers = topology.layers();
-    let identity_split = topology.is_identity_split();
-    let mut sup = if identity_split { Vec::new() } else { vec![0.0; rows * stride] };
-    let mut watts = vec![0.0; depth];
-    // One length check at lane build covers every subsequent
-    // `split_watts_into` call over this scratch.
-    debug_assert_eq!(watts.len(), topology.depth(), "layer power scratch must match the stack depth");
-    let mut max_buffer = vec![f64::NEG_INFINITY; stride];
-    let mut max_dram = vec![f64::NEG_INFINITY; stride];
+    let layer_alphas: Vec<f64> = topology.layers().iter().map(|l| ThermalNode::decay_alpha(l.tau_s, step_s)).collect();
+    let row_alphas: Vec<f64> = (0..rows).map(|r| layer_alphas[r % depth]).collect();
+    let row_is_buffer: Vec<bool> =
+        (0..rows).map(|r| topology.layers()[r % depth].kind == DeviceLayerKind::Buffer).collect();
+    let mut temps = Vec::with_capacity(rows * width);
+    let mut peaks = Vec::with_capacity(rows * width);
+    let mut term_a = Vec::with_capacity(rows * width);
+    let mut term_b = Vec::with_capacity(rows * width);
+    // Seed the per-member maxima from the initial field so a first-window
+    // scalar observation (before any lane sweep has refreshed the
+    // accumulators) sees the same maxima a fresh `observe` would.
+    let mut max_buffer = vec![f64::NEG_INFINITY; width];
+    let mut max_dram = vec![f64::NEG_INFINITY; width];
     for (c, &cell) in members.iter().enumerate() {
-        for (r, (&t, &p)) in
-            states[cell].scene.layer_temps_flat().iter().zip(states[cell].scene.layer_peaks_flat()).enumerate()
-        {
-            temps[r * stride + c] = t;
-            peaks[r * stride + c] = p;
-            match layers[r % depth].kind {
-                DeviceLayerKind::Buffer => max_buffer[c] = max_buffer[c].max(t),
-                DeviceLayerKind::Dram => max_dram[c] = max_dram[c].max(t),
-            }
-        }
-        for (pos, p) in states[cell].window.positions.iter().enumerate() {
-            wamb[pos * stride + c] = p.amb_watts;
-            wdram[pos * stride + c] = p.dram_watts;
-            if !identity_split {
-                topology.split_watts_into(p.amb_watts, p.dram_watts, &mut watts);
-                for l in 0..depth {
-                    sup[(pos * depth + l) * stride + c] = topology.psi_superpose(&watts, l);
-                }
-            }
+        let st = &states[cell];
+        temps.extend_from_slice(st.scene.layer_temps_flat());
+        peaks.extend_from_slice(st.scene.layer_peaks_flat());
+        term_a.extend_from_slice(&st.entry().stab_a);
+        term_b.extend_from_slice(&st.entry().stab_b);
+        for (&t, &buffer) in st.scene.layer_temps_flat().iter().zip(&row_is_buffer) {
+            let m = if buffer { &mut max_buffer[c] } else { &mut max_dram[c] };
+            *m = m.max(t);
         }
     }
-    let layer_alphas: Vec<f64> =
-        rep.scene.topology().layers().iter().map(|l| ThermalNode::decay_alpha(l.tau_s, step_s)).collect();
     Lane {
-        stride,
         rows,
         depth,
         temps,
         peaks,
-        sup,
-        amb: vec![0.0; stride],
-        watts,
-        wamb,
-        wdram,
-        identity_split,
+        term_a,
+        term_b,
+        amb: vec![0.0; width],
+        identity_split: topology.is_identity_split(),
         max_buffer,
         max_dram,
         has_buffer: topology.has_buffer(),
-        ambient_alpha: ThermalNode::decay_alpha(tau_s, step_s),
+        ambient_alpha: ThermalNode::decay_alpha(rep.scene.ambient_params().tau_cpu_dram_s, step_s),
         layer_alphas,
+        row_alphas,
+        row_is_buffer,
         members,
     }
 }
@@ -991,11 +960,14 @@ fn build_lane(states: &[CellState], members: Vec<usize>) -> Lane {
 /// [`DimmThermalScene::step`] does) — each operation in exactly the order
 /// of [`SimEngine::run`]. Returns `true` if the member stayed in the lane,
 /// `false` if it departed (finalized or fast-forwarded out). The caller
-/// owns the column removal: the fused driver calls [`Lane::remove`]
-/// inline, the column-split driver defers all removals to the end of the
-/// pass — which is what makes every operation in here column-disjoint
-/// (`write_power_column`, `amb[j]`, the maxima reads all touch only
-/// column `j`).
+/// defers the column removal to the end of the pass, which is what makes
+/// every operation in here column-disjoint (`write_power_column`,
+/// `amb[j]`, the maxima reads all touch only column `j`).
+///
+/// A plan change costs a memo lookup ([`CellState::switch_plan`]) and a
+/// power-term column copy, and the window's accounting amounts come
+/// precomputed from the active [`PlanEntry`] — each the very expression
+/// the per-cell loop evaluates, so the bits are unchanged.
 fn member_pre(
     lane: &mut Lane,
     j: usize,
@@ -1011,14 +983,12 @@ fn member_pre(
     let st = &mut states[cell];
     {
         if st.batch.is_complete() || st.time_s >= cfg.max_sim_time_s {
-            lane.copy_temp_column(j, &mut st.col_scratch);
-            st.scene.set_layer_temps(&st.col_scratch);
-            lane.copy_peak_column(j, &mut st.col_scratch);
-            st.scene.set_layer_peaks(&st.col_scratch);
+            st.scene.set_layer_temps(&lane.temps[lane.col(j)]);
+            st.scene.set_layer_peaks(&lane.peaks[lane.col(j)]);
             results[cell] = Some(finalize(st, engine));
             return false;
         }
-        st.overhead_s = 0.0;
+        st.overheaded = false;
         if st.time_s + 1e-12 >= st.next_dtm_s {
             st.env_backoff = st.env_backoff.saturating_sub(1);
             // A completed cycle recording is verified *before* this
@@ -1083,7 +1053,7 @@ fn member_pre(
                 }
             }
             if st.wants_field {
-                st.scene.observe_lane_into(&lane.temps, lane.stride, j, &mut st.observation);
+                st.scene.observe_lane_into(&lane.temps[lane.col(j)], &mut st.observation);
             } else {
                 // Scalar policies read only the device maxima and the
                 // ambient; the maxima are exactly the lane sweep's running
@@ -1096,38 +1066,12 @@ fn member_pre(
                 st.observation.ambient_c = st.scene.ambient_c();
             }
             let new_plan = st.policy.decide(&st.observation, cfg.dtm_interval_s);
-            let plan_changed = new_plan != st.plan;
+            let plan_changed = new_plan != st.entry().plan;
             if plan_changed {
                 st.plan_streak = 0;
-                st.overhead_s = cfg.dtm_overhead_s;
-                if new_plan.mode != st.mode {
-                    st.mode = new_plan.mode;
-                    st.mode_key = ModeKey::from_mode(&st.mode);
-                    st.point = st.table.point(&st.mode);
-                    st.progressing = st.mode.makes_progress() && st.point.instr_rate_total > 0.0;
-                }
-                st.plan = new_plan;
-                if st.plan.is_scalar() {
-                    st.plan_stats = PlanTrafficStats::identity();
-                    st.window = engine.window_power(
-                        &st.scene,
-                        &st.idle,
-                        &st.point,
-                        &st.point.dimm_traffic,
-                        &st.mode,
-                        st.progressing,
-                    );
-                } else {
-                    st.plan_stats = st.plan.apply_traffic_into(
-                        &st.point.dimm_traffic,
-                        engine.mem.logical_channels,
-                        engine.mem.dimms_per_channel,
-                        &mut st.plan_traffic,
-                    );
-                    st.window =
-                        engine.window_power(&st.scene, &st.idle, &st.point, &st.plan_traffic, &st.mode, st.progressing);
-                }
-                lane.write_power_column(j, &st.window.positions, st.scene.topology());
+                st.overheaded = true;
+                st.switch_plan(engine, new_plan);
+                lane.write_power_column(j, st.entry());
             } else {
                 st.plan_streak = st.plan_streak.saturating_add(1);
                 if st.ff_allowed
@@ -1160,21 +1104,20 @@ fn member_pre(
             }
             st.next_dtm_s += cfg.dtm_interval_s;
         }
-        let effective_s = (st.step_s - st.overhead_s).max(0.0);
-        if st.progressing {
-            let instr = st.point.instr_rate_total * st.plan_stats.service_scale * effective_s;
+        let e = &st.plans[st.cur];
+        if e.progressing {
+            let (instr, bytes, misses, migrated, retires) = e.amounts(st.overheaded);
             st.total_instructions += instr;
-            st.total_bytes += st.point.total_gbps() * st.plan_stats.service_scale * 1e9 * effective_s;
-            st.total_misses += st.point.l2_misses_per_instr * instr;
-            st.migrated_bytes += st.plan_stats.migrated_gbps * 1e9 * effective_s;
-            for core in 0..engine.cpu.cores {
-                let share = st.full_shares.get(core).copied().unwrap_or(0.0);
-                if share > 0.0 {
-                    st.batch.retire(core, (instr * share) as u64);
+            st.total_bytes += bytes;
+            st.total_misses += misses;
+            st.migrated_bytes += migrated;
+            for (core, &amount) in retires.iter().enumerate() {
+                if amount > 0 {
+                    st.batch.retire(core, amount);
                 }
             }
         }
-        lane.amb[j] = st.scene.step_ambient(st.window.v_ipc, lane.ambient_alpha);
+        lane.amb[j] = st.scene.step_ambient(e.window.v_ipc, lane.ambient_alpha);
         if st.cycle_enabled && st.cycle.recording.is_some() {
             cycle_record_window(lane, j, st);
         }
@@ -1189,16 +1132,17 @@ fn member_post(lane: &Lane, j: usize, globals: &[usize], engines: &[SimEngine<'_
     let cell = lane.members[j];
     let cfg = engines[globals[cell]].config;
     let st = &mut states[cell];
-    st.energy.add(st.window.mem_w, st.window.cpu_w, st.step_s);
+    let e = &st.plans[st.cur];
+    st.energy.add(e.window.mem_w, e.window.cpu_w, st.step_s);
     let amb_now = if lane.has_buffer { lane.max_buffer[j] } else { f64::NAN };
     let dram_now = lane.max_dram[j];
     st.max_amb = st.max_amb.max(amb_now);
     st.max_dram = st.max_dram.max(dram_now);
     st.ambient_sum += st.scene.ambient_c();
     st.ambient_samples += 1;
-    *st.residency.entry(st.mode_key).or_insert(0.0) += st.step_s;
-    for (channel, throttled_s) in st.channel_throttle_s.iter_mut().enumerate() {
-        if st.plan.throttles_channel(channel) {
+    *st.residency.entry(e.mode_key).or_insert(0.0) += st.step_s;
+    for (throttled_s, &throttled) in st.channel_throttle_s.iter_mut().zip(&e.throttled) {
+        if throttled {
             *throttled_s += st.step_s;
         }
     }
@@ -1208,8 +1152,8 @@ fn member_post(lane: &Lane, j: usize, globals: &[usize], engines: &[SimEngine<'_
             amb_c: amb_now,
             dram_c: dram_now,
             ambient_c: st.scene.ambient_c(),
-            active_cores: st.mode.active_cores,
-            freq_ghz: st.mode.op.freq_ghz,
+            active_cores: e.mode.active_cores,
+            freq_ghz: e.mode.op.freq_ghz,
         });
         st.next_trace_s += cfg.temp_trace_interval_s;
     }
@@ -1217,19 +1161,11 @@ fn member_post(lane: &Lane, j: usize, globals: &[usize], engines: &[SimEngine<'_
     st.stats.stepped_windows += 1;
 }
 
-/// Apply the slots [`member_pre`] flagged as departed. Removals run in
-/// **descending** slot order: [`Lane::remove`] swap-fills the hole with the
-/// current last column, and with the highest slot removed first the fill
-/// column is never itself a pending departure and never a slot the pass
-/// still has to visit — so deferring removals moves no arithmetic.
-fn apply_departures(lane: &mut Lane, departed: &mut Vec<usize>) {
-    while let Some(j) = departed.pop() {
-        lane.remove(j);
-    }
-}
-
-/// The pre-step pass over a whole lane (the first window's phase A),
-/// traversed per [`BatchOptions::decision_pass`].
+/// The pre-step pass over a whole lane: every member's [`member_pre`], then
+/// the departures it flagged, removed in **descending** slot order —
+/// [`Lane::remove`] swap-fills the hole with the current last column, and
+/// with the highest slot removed first the fill column is never itself a
+/// pending departure, so deferring removals moves no arithmetic.
 fn lane_pre(
     lane: &mut Lane,
     globals: &[usize],
@@ -1238,41 +1174,23 @@ fn lane_pre(
     options: &BatchOptions,
     results: &mut [Option<(MemSpotResult, CellRunStats)>],
 ) {
-    match options.decision_pass {
-        DecisionPass::Fused => {
-            let mut j = 0;
-            while j < lane.members.len() {
-                if member_pre(lane, j, globals, engines, states, options, results) {
-                    j += 1;
-                } else {
-                    lane.remove(j);
-                }
-            }
+    let mut departed = Vec::new();
+    for j in 0..lane.members.len() {
+        if !member_pre(lane, j, globals, engines, states, options, results) {
+            departed.push(j);
         }
-        DecisionPass::ColumnSplit => {
-            let mut departed = Vec::new();
-            for j in 0..lane.members.len() {
-                if !member_pre(lane, j, globals, engines, states, options, results) {
-                    departed.push(j);
-                }
-            }
-            apply_departures(lane, &mut departed);
-        }
+    }
+    while let Some(j) = departed.pop() {
+        lane.remove(j);
     }
 }
 
-/// Each member's post-step bookkeeping for the window just stepped and its
-/// pre-step for the next window, traversed per
-/// [`BatchOptions::decision_pass`] — the per-cell operation order of
-/// [`SimEngine::run`] is preserved exactly under both traversals (cell
-/// `i`'s window-`k` tail always precedes its window-`k+1` head; cells are
-/// mutually independent, so their interleaving is free to differ).
-///
-/// The fused traversal interleaves the two steps per member and removes
-/// departures inline; the column-split traversal phase-separates them —
-/// all post-steps, then all pre-steps collecting departures, then the
-/// deferred removals — so that every phase is a loop of column-disjoint
-/// member operations with no intervening column swaps.
+/// Each member's post-step bookkeeping for the window just stepped, then
+/// the next window's pre-step pass ([`lane_pre`]). The per-cell operation
+/// order of [`SimEngine::run`] is preserved exactly (cell `i`'s window-`k`
+/// tail always precedes its window-`k+1` head; cells are mutually
+/// independent, so their interleaving is free), and every phase is a loop
+/// of column-disjoint member operations with no intervening column swaps.
 fn lane_post_pre(
     lane: &mut Lane,
     globals: &[usize],
@@ -1281,106 +1199,63 @@ fn lane_post_pre(
     options: &BatchOptions,
     results: &mut [Option<(MemSpotResult, CellRunStats)>],
 ) {
-    match options.decision_pass {
-        DecisionPass::Fused => {
-            let mut j = 0;
-            while j < lane.members.len() {
-                member_post(lane, j, globals, engines, states);
-                if member_pre(lane, j, globals, engines, states, options, results) {
-                    j += 1;
-                } else {
-                    lane.remove(j);
-                }
-            }
-        }
-        DecisionPass::ColumnSplit => {
-            for j in 0..lane.members.len() {
-                member_post(lane, j, globals, engines, states);
-            }
-            let mut departed = Vec::new();
-            for j in 0..lane.members.len() {
-                if !member_pre(lane, j, globals, engines, states, options, results) {
-                    departed.push(j);
-                }
-            }
-            apply_departures(lane, &mut departed);
-        }
+    for j in 0..lane.members.len() {
+        member_post(lane, j, globals, engines, states);
     }
+    lane_pre(lane, globals, engines, states, options, results);
 }
 
-/// The fused RC update over a whole lane — position-major contiguous
-/// sweeps over all cells at once (the vectorized hot loop this tier exists
-/// for). On identity-split stacks the per-element stable temperature is
-/// computed inline as `ambient + w_buffer·ψ_l0 + w_dram·ψ_l1`, the exact
-/// float-op sequence of `DimmThermalScene::step`, so the bits match the
-/// per-cell engine; other stacks read `ambient + sup` from the cached
-/// superposition matrix ([`Lane::sup`], rewritten only on plan changes) —
-/// the same float-op sequence as the reordered non-identity branch of
-/// `DimmThermalScene::step`, and the same `t += (s − t)·α` row sweep as the
-/// FBDIMM fast path. The sweep also accumulates each cell's
-/// per-device-kind running maximum of the freshly stepped temperatures —
-/// `f64::max` over a fixed set is order-independent, so the per-cell
-/// values carry bits identical to a post-step scene fold.
-fn lane_rc(lane: &mut Lane, states: &[CellState]) {
-    {
-        let Lane {
-            members,
-            stride,
-            depth,
-            temps,
-            peaks,
-            sup,
-            amb,
-            wamb,
-            wdram,
-            identity_split,
-            layer_alphas,
-            max_buffer,
-            max_dram,
-            ..
-        } = lane;
-        let (stride, depth) = (*stride, *depth);
-        let n = members.len();
-        if n > 0 {
-            let topology = states[members[0]].scene.topology();
-            let layers = topology.layers();
-            max_buffer[..n].fill(f64::NEG_INFINITY);
-            max_dram[..n].fill(f64::NEG_INFINITY);
-            for pos in 0..temps.len() / (depth * stride) {
-                let wa = &wamb[pos * stride..pos * stride + n];
-                let wd = &wdram[pos * stride..pos * stride + n];
-                for l in 0..depth {
-                    let alpha = layer_alphas[l];
-                    let row = (pos * depth + l) * stride;
-                    let t_row = &mut temps[row..row + n];
-                    let p_row = &mut peaks[row..row + n];
-                    let m_row = match layers[l].kind {
-                        DeviceLayerKind::Buffer => &mut max_buffer[..n],
-                        DeviceLayerKind::Dram => &mut max_dram[..n],
-                    };
-                    if *identity_split {
-                        let psi = topology.psi_row(l);
-                        let (psi_b, psi_d) = (psi[0], psi[1]);
-                        for i in 0..n {
-                            let s = amb[i] + wa[i] * psi_b + wd[i] * psi_d;
-                            let t = &mut t_row[i];
-                            *t += (s - *t) * alpha;
-                            p_row[i] = p_row[i].max(*t);
-                            m_row[i] = m_row[i].max(*t);
-                        }
-                    } else {
-                        let s_row = &sup[row..row + n];
-                        for i in 0..n {
-                            let s = amb[i] + s_row[i];
-                            let t = &mut t_row[i];
-                            *t += (s - *t) * alpha;
-                            p_row[i] = p_row[i].max(*t);
-                            m_row[i] = m_row[i].max(*t);
-                        }
-                    }
-                }
+/// The lane's RC update: the cell-outer kernel. Per member, one flat pass
+/// over its contiguous column steps every row by `t += (s − t)·α` with `s`
+/// from [`row_stable`] — the exact float-op sequence of
+/// `DimmThermalScene::step`, so the bits match the per-cell engine — folds
+/// the row into its peak, and accumulates the member's per-device-kind
+/// running maximum of the freshly stepped temperatures (`f64::max` over a
+/// fixed set is order-independent, so the values carry bits identical to a
+/// post-step scene fold). The per-row decay factors and device kinds are
+/// hoisted into lane tables at build time, so the pass does no per-row
+/// index arithmetic beyond the column walk; lanes are 1–3 cells wide under
+/// the guided sweep dispatch, where a row-major sweep across cells spent
+/// most of its time in per-row loop overhead. No `mul_add` here: a fused
+/// multiply-add rounds once where the scene rounds twice, which would
+/// break bit-identity with [`SimEngine::run`].
+fn lane_rc(lane: &mut Lane) {
+    let Lane {
+        members,
+        rows,
+        temps,
+        peaks,
+        term_a,
+        term_b,
+        amb,
+        identity_split,
+        max_buffer,
+        max_dram,
+        row_alphas,
+        row_is_buffer,
+        ..
+    } = lane;
+    let (rows, identity_split) = (*rows, *identity_split);
+    for c in 0..members.len() {
+        let col = c * rows..(c + 1) * rows;
+        let (t_col, p_col) = (&mut temps[col.clone()], &mut peaks[col.clone()]);
+        let (a_col, b_col) = (&term_a[col.clone()], &term_b[col]);
+        let amb_c = amb[c];
+        let (mut m_buf, mut m_dram) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        let terms = a_col.iter().zip(b_col);
+        let layers = row_alphas.iter().zip(row_is_buffer.iter());
+        for (((t, p), (&a, &b)), (&alpha, &buffer)) in t_col.iter_mut().zip(p_col.iter_mut()).zip(terms).zip(layers) {
+            let s = row_stable(amb_c, a, b, identity_split);
+            *t += (s - *t) * alpha;
+            *p = p.max(*t);
+            if buffer {
+                m_buf = m_buf.max(*t);
+            } else {
+                m_dram = m_dram.max(*t);
             }
         }
+        max_buffer[c] = m_buf;
+        max_dram[c] = m_dram;
     }
 }
 
@@ -1390,17 +1265,18 @@ fn lane_rc(lane: &mut Lane, states: &[CellState]) {
 /// jump). The streak and trace conditions are checked by the caller.
 fn ff_engages(lane: &Lane, j: usize, st: &mut CellState, options: &BatchOptions) -> bool {
     let drift_c = 2.0 * options.steady_epsilon_c;
-    if !st.policy.is_steady(&st.observation, &st.plan, drift_c) {
+    let e = &st.plans[st.cur];
+    if !st.policy.is_steady(&st.observation, &e.plan, drift_c) {
         return false;
     }
-    let stable_ambient = st.scene.ambient_params().stable_ambient_c(st.window.v_ipc);
+    let stable_ambient = st.scene.ambient_params().stable_ambient_c(e.window.v_ipc);
     // `!(x <= eps)` deliberately refuses to fast-forward on NaN.
     let ambient_settled = (st.scene.ambient_c() - stable_ambient).abs() <= AMBIENT_FF_EPS_C;
     if !ambient_settled {
         return false;
     }
-    st.scene.fixed_point_into(&st.window.positions, st.window.v_ipc, &mut st.fp);
-    (0..lane.rows).all(|r| (lane.temps[r * lane.stride + j] - st.fp[r]).abs() <= options.steady_epsilon_c)
+    st.scene.fixed_point_into(&e.window.positions, e.window.v_ipc, &mut st.fp);
+    lane.temps[lane.col(j)].iter().zip(&st.fp).all(|(t, f)| (t - f).abs() <= options.steady_epsilon_c)
 }
 
 /// Replays the cell's remaining windows in closed form and finalizes it.
@@ -1420,28 +1296,16 @@ fn fast_forward(lane: &Lane, j: usize, st: &mut CellState, engine: &SimEngine<'_
     let cfg = engine.config;
     let cores = engine.cpu.cores;
     let step = st.step_s;
-    let instr = st.point.instr_rate_total * st.plan_stats.service_scale * step;
-    let bytes = st.point.total_gbps() * st.plan_stats.service_scale * 1e9 * step;
-    let misses = st.point.l2_misses_per_instr * instr;
-    let migrated = st.plan_stats.migrated_gbps * 1e9 * step;
-    let rates: Vec<u64> = (0..cores)
-        .map(|core| {
-            let share = st.full_shares.get(core).copied().unwrap_or(0.0);
-            if share > 0.0 {
-                (instr * share) as u64
-            } else {
-                0
-            }
-        })
-        .collect();
-    let shares_positive: Vec<bool> =
-        (0..cores).map(|core| st.full_shares.get(core).copied().unwrap_or(0.0) > 0.0).collect();
+    // The frozen plan's per-window amounts at zero overhead (the
+    // `effective_s = step` expressions of the literal loop).
+    let e = &st.plans[st.cur];
+    let (instr, bytes, misses, migrated, rates) = e.amounts(false);
 
     let mut w_total: u64 = 0;
     while !st.batch.is_complete() && st.time_s < cfg.max_sim_time_s {
         // Windows until the earliest possible job-copy completion (none if
         // the cell makes no progress or no core retires instructions).
-        let target: Option<u64> = if st.progressing {
+        let target: Option<u64> = if e.progressing {
             (0..cores)
                 .filter(|&core| rates[core] > 0)
                 .filter_map(|core| st.batch.slot(core).map(|s| s.remaining_instructions.div_ceil(rates[core]).max(1)))
@@ -1468,38 +1332,34 @@ fn fast_forward(lane: &Lane, j: usize, st: &mut CellState, engine: &SimEngine<'_
             break;
         }
         let mf = m as f64;
-        if st.progressing {
+        if e.progressing {
             st.total_instructions += instr * mf;
             st.total_bytes += bytes * mf;
             st.total_misses += misses * mf;
             st.migrated_bytes += migrated * mf;
+            // A core whose share is not positive has a zero rate, and
+            // retiring zero instructions is a no-op.
             if target == Some(m) {
                 // `m - 1` completion-free windows in bulk, then the
                 // completion window itself replayed literally.
                 if m > 1 {
-                    for core in 0..cores {
-                        if shares_positive[core] {
-                            st.batch.retire(core, rates[core] * (m - 1));
-                        }
+                    for (core, &rate) in rates.iter().enumerate() {
+                        st.batch.retire(core, rate * (m - 1));
                     }
                 }
-                for core in 0..cores {
-                    if shares_positive[core] {
-                        st.batch.retire(core, rates[core]);
-                    }
+                for (core, &rate) in rates.iter().enumerate() {
+                    st.batch.retire(core, rate);
                 }
             } else {
-                for core in 0..cores {
-                    if shares_positive[core] {
-                        st.batch.retire(core, rates[core] * m);
-                    }
+                for (core, &rate) in rates.iter().enumerate() {
+                    st.batch.retire(core, rate * m);
                 }
             }
         }
-        st.energy.add(st.window.mem_w, st.window.cpu_w, step * mf);
-        *st.residency.entry(st.mode_key).or_insert(0.0) += step * mf;
-        for (channel, throttled_s) in st.channel_throttle_s.iter_mut().enumerate() {
-            if st.plan.throttles_channel(channel) {
+        st.energy.add(e.window.mem_w, e.window.cpu_w, step * mf);
+        *st.residency.entry(e.mode_key).or_insert(0.0) += step * mf;
+        for (throttled_s, &throttled) in st.channel_throttle_s.iter_mut().zip(&e.throttled) {
+            if throttled {
                 *throttled_s += step * mf;
             }
         }
@@ -1514,15 +1374,18 @@ fn fast_forward(lane: &Lane, j: usize, st: &mut CellState, engine: &SimEngine<'_
     // fixed point). Trajectories are monotone, so the running maxima and
     // peaks only need the endpoint folded in — `t0` already contributed
     // when its window stepped.
-    st.col_scratch.clear();
-    for r in 0..lane.rows {
-        let t0 = lane.temps[r * lane.stride + j];
-        let lambda = 1.0 - lane.layer_alphas[r % lane.depth];
-        let decay = if w_total == 0 { 1.0 } else { (w_total as f64 * lambda.ln()).exp() };
-        st.col_scratch.push(st.fp[r] + (t0 - st.fp[r]) * decay);
-    }
-    st.scene.set_layer_temps(&st.col_scratch);
-    let peaks_end: Vec<f64> = (0..lane.rows).map(|r| lane.peaks[r * lane.stride + j].max(st.col_scratch[r])).collect();
+    let col = lane.col(j);
+    let temps_end: Vec<f64> = lane.temps[col.clone()]
+        .iter()
+        .zip(&lane.row_alphas)
+        .zip(&st.fp)
+        .map(|((&t0, &alpha), &fp)| {
+            let decay = if w_total == 0 { 1.0 } else { (w_total as f64 * (1.0 - alpha).ln()).exp() };
+            fp + (t0 - fp) * decay
+        })
+        .collect();
+    st.scene.set_layer_temps(&temps_end);
+    let peaks_end: Vec<f64> = lane.peaks[col].iter().zip(&temps_end).map(|(p, &t)| p.max(t)).collect();
     st.scene.set_layer_peaks(&peaks_end);
     let (amb_now, dram_now) = st.scene.max_temps_c();
     st.max_amb = st.max_amb.max(amb_now);
@@ -1667,8 +1530,9 @@ fn cycle_track(lane: &Lane, j: usize, st: &mut CellState, changed: bool, options
     } else {
         Vec::with_capacity(lane.rows)
     };
-    temps.extend((0..lane.rows).map(|r| lane.temps[r * lane.stride + j]));
-    tracker.history.push_back(DecisionSnap { plan: st.plan.clone(), temps, ambient: st.scene.ambient_c() });
+    temps.extend_from_slice(&lane.temps[lane.col(j)]);
+    let plan = st.plans[st.cur].plan.clone();
+    tracker.history.push_back(DecisionSnap { plan, temps, ambient: st.scene.ambient_c() });
     if disarmed {
         return;
     }
@@ -1716,40 +1580,23 @@ fn cycle_record_window(lane: &Lane, j: usize, st: &mut CellState) {
     if rec.windows.len() >= rec.period {
         return;
     }
-    let topology = scene.topology();
-    let stables: Vec<f64> = (0..lane.rows).map(|r| lane.stable_for(j, r, topology)).collect();
-    let effective_s = (st.step_s - st.overhead_s).max(0.0);
-    let (instr, bytes, misses, migrated) = if st.progressing {
-        let instr = st.point.instr_rate_total * st.plan_stats.service_scale * effective_s;
-        (
-            instr,
-            st.point.total_gbps() * st.plan_stats.service_scale * 1e9 * effective_s,
-            st.point.l2_misses_per_instr * instr,
-            st.plan_stats.migrated_gbps * 1e9 * effective_s,
-        )
-    } else {
-        (0.0, 0.0, 0.0, 0.0)
-    };
-    let retires: Vec<u64> = st
-        .full_shares
-        .iter()
-        .map(|&share| if share > 0.0 && st.progressing { (instr * share) as u64 } else { 0 })
-        .collect();
-    let throttled: Vec<bool> = (0..st.channel_throttle_s.len()).map(|ch| st.plan.throttles_channel(ch)).collect();
+    let stables: Vec<f64> = (0..lane.rows).map(|r| lane.stable_for(j, r)).collect();
+    let e = &st.plans[st.cur];
+    let (instr, bytes, misses, migrated, retires) = e.amounts(st.overheaded);
     rec.windows.push(CycleWindow {
-        plan: st.plan.clone(),
+        plan: e.plan.clone(),
         observation: st.observation.clone(),
         stables,
-        mode_key: st.mode_key,
-        mem_w: st.window.mem_w,
-        cpu_w: st.window.cpu_w,
+        mode_key: e.mode_key,
+        mem_w: e.window.mem_w,
+        cpu_w: e.window.cpu_w,
         instr,
         bytes,
         misses,
         migrated,
-        retires,
-        progressing: st.progressing,
-        throttled,
+        retires: retires.to_vec(),
+        progressing: e.progressing,
+        throttled: e.throttled.clone(),
         ambient_c: scene.ambient_c(),
     });
 }
@@ -1819,7 +1666,7 @@ fn cycle_verify(lane: &Lane, j: usize, st: &CellState, options: &BatchOptions) -
             return None;
         }
         *slot = t_star;
-        deviation = deviation.max((lane.temps[r * lane.stride + j] - t_star).abs());
+        deviation = deviation.max((lane.temps[j * lane.rows + r] - t_star).abs());
     }
     if !(deviation <= options.steady_epsilon_c) {
         return None;
@@ -1878,16 +1725,14 @@ fn fold_cycle_temps(windows: &[CycleWindow], layer_alphas: &[f64], depth: usize,
 
 /// Replays one recorded window's accounting (everything except time and
 /// temperatures, which the callers handle).
-fn replay_cycle_window(st: &mut CellState, win: &CycleWindow, step: f64, shares_positive: &[bool]) {
+fn replay_cycle_window(st: &mut CellState, win: &CycleWindow, step: f64) {
     if win.progressing {
         st.total_instructions += win.instr;
         st.total_bytes += win.bytes;
         st.total_misses += win.misses;
         st.migrated_bytes += win.migrated;
-        for (core, &positive) in shares_positive.iter().enumerate() {
-            if positive {
-                st.batch.retire(core, win.retires[core]);
-            }
+        for (core, &amount) in win.retires.iter().enumerate() {
+            st.batch.retire(core, amount);
         }
     }
     st.energy.add(win.mem_w, win.cpu_w, step);
@@ -1934,12 +1779,10 @@ fn fast_forward_periodic(
     let max = cfg.max_sim_time_s;
     let rec = st.cycle.recording.take().expect("verified recording present");
     let k = rec.period;
-    let rows = lane.rows;
     let depth = lane.depth;
 
-    let shares_positive: Vec<bool> =
-        (0..cores).map(|core| st.full_shares.get(core).copied().unwrap_or(0.0) > 0.0).collect();
-    // Whole-cycle per-core retire totals (job-independent).
+    // Whole-cycle per-core retire totals (job-independent; zero on cores
+    // without a positive share, where retiring is a no-op).
     let mut cycle_retires = vec![0u64; cores];
     for win in &rec.windows {
         if win.progressing {
@@ -1950,8 +1793,8 @@ fn fast_forward_periodic(
     }
     let any_progress = rec.windows.iter().any(|w| w.progressing);
 
-    let mut t_cur: Vec<f64> = (0..rows).map(|r| lane.temps[r * lane.stride + j]).collect();
-    let mut peaks: Vec<f64> = (0..rows).map(|r| lane.peaks[r * lane.stride + j]).collect();
+    let mut t_cur: Vec<f64> = lane.temps[lane.col(j)].to_vec();
+    let mut peaks: Vec<f64> = lane.peaks[lane.col(j)].to_vec();
     let mut w_total: u64 = 0;
     let mut cycles_total: u64 = 0;
 
@@ -2006,10 +1849,8 @@ fn fast_forward_periodic(
                 st.ambient_samples += cycles;
             }
             if any_progress {
-                for (core, &positive) in shares_positive.iter().enumerate() {
-                    if positive && cycle_retires[core] > 0 {
-                        st.batch.retire(core, cycle_retires[core] * cycles);
-                    }
+                for (core, &total) in cycle_retires.iter().enumerate() {
+                    st.batch.retire(core, total * cycles);
                 }
             }
             fold_cycle_temps(&rec.windows, &lane.layer_alphas, depth, &mut t_cur, &mut peaks);
@@ -2028,7 +1869,7 @@ fn fast_forward_periodic(
             // Time capped mid-cycle: the executed prefix already advanced
             // the clock, replay its accounting and temperatures and stop.
             for win in &rec.windows[..partial] {
-                replay_cycle_window(st, win, step, &shares_positive);
+                replay_cycle_window(st, win, step);
             }
             fold_cycle_temps(&rec.windows[..partial], &lane.layer_alphas, depth, &mut t_cur, &mut peaks);
             break;
@@ -2043,7 +1884,7 @@ fn fast_forward_periodic(
             if st.batch.is_complete() || st.time_s >= max {
                 break;
             }
-            replay_cycle_window(st, win, step, &shares_positive);
+            replay_cycle_window(st, win, step);
             fold_cycle_temps(std::slice::from_ref(win), &lane.layer_alphas, depth, &mut t_cur, &mut peaks);
             st.time_s += step;
             w_total += 1;
@@ -2080,27 +1921,28 @@ struct EnvBand {
     slipping: bool,
 }
 
-/// Everything the envelope burst needs per distinct actuation plan, cached
-/// once so the per-window replay never re-derives characterization points,
-/// window powers or accounting rates on a plan flip — the dominant
-/// per-window cost of a slipping orbit stepped literally.
-#[derive(Debug)]
-struct EnvPlanEntry {
+/// Everything a cell derives from one actuation plan, built once per
+/// distinct plan by [`build_plan_entry`] so a plan change never re-derives
+/// characterization points, window powers or accounting amounts. The
+/// literal lane step keeps these in the per-cell memo
+/// ([`CellState::plans`]); the envelope burst keeps an index-stable list of
+/// them, copied from the memo or built, and hands its active entry back on
+/// fallback.
+#[derive(Debug, Clone)]
+struct PlanEntry {
     plan: ActuationPlan,
     mode: RunningMode,
     mode_key: ModeKey,
-    point: Arc<CharPoint>,
     progressing: bool,
     window: WindowPower,
-    plan_stats: PlanTrafficStats,
-    /// Per-row stable-temperature terms: the RC stable of row `r` is
-    /// `ambient + stab_a[r]` (plus `stab_b[r]` on identity-split stacks),
-    /// evaluated in exactly [`lane_rc`]'s float-op order so the private
-    /// sweep carries the lane's bits.
+    /// Per-row power terms of the RC stable temperature: row `r` steps
+    /// toward [`row_stable`]`(ambient, stab_a[r], stab_b[r])` — the lane
+    /// column the kernel reads while this plan is active.
     stab_a: Vec<f64>,
     stab_b: Vec<f64>,
     /// Per-window accounted amounts at the full step and at the overheaded
-    /// (plan-change) step — the literal expressions evaluated once.
+    /// (plan-change) step — the literal expressions evaluated once; zero
+    /// when the plan makes no progress.
     instr: f64,
     bytes: f64,
     misses: f64,
@@ -2109,21 +1951,33 @@ struct EnvPlanEntry {
     bytes_oh: f64,
     misses_oh: f64,
     migrated_oh: f64,
+    /// Per-core retired instructions per window (zero on cores without a
+    /// positive full-speed share, where retiring is a no-op).
     retires: Vec<u64>,
     retires_oh: Vec<u64>,
+    /// Per-channel throttle flags ([`ActuationPlan::throttles_channel`]).
     throttled: Vec<bool>,
-    /// Residency seconds accumulated while this entry's plan was active,
-    /// flushed into the cell's residency map when the burst exits (one
-    /// reassociation per entry instead of one map probe per window).
-    residency_s: f64,
 }
 
-/// Builds the cached per-plan entry through the very code path
-/// [`member_pre`] runs on a plan change, so every cached value carries the
-/// bits the literal window loop would have computed. (The scene is only
-/// consulted for geometry by [`SimEngine::window_power`], never for
-/// temperatures, so the burst's stale scene temperatures cannot leak in.)
-fn env_build_entry(st: &mut CellState, engine: &SimEngine<'_>, plan: ActuationPlan, depth: usize) -> EnvPlanEntry {
+impl PlanEntry {
+    /// One window's `(instructions, bytes, misses, migrated bytes, per-core
+    /// retires)`, with or without the DTM switch overhead.
+    fn amounts(&self, overheaded: bool) -> (f64, f64, f64, f64, &[u64]) {
+        if overheaded {
+            (self.instr_oh, self.bytes_oh, self.misses_oh, self.migrated_oh, &self.retires_oh)
+        } else {
+            (self.instr, self.bytes, self.misses, self.migrated, &self.retires)
+        }
+    }
+}
+
+/// Builds the entry for `plan` through the very expressions
+/// [`SimEngine::run`] evaluates on a plan change and per window, so every
+/// cached value carries the bits the literal window loop would compute.
+/// (The scene is only consulted for geometry by
+/// [`SimEngine::window_power`], never for temperatures, so an entry stays
+/// valid for the whole run.)
+fn build_plan_entry(st: &mut CellState, engine: &SimEngine<'_>, plan: ActuationPlan) -> PlanEntry {
     let cfg = engine.config;
     let cores = engine.cpu.cores;
     let mode = plan.mode;
@@ -2144,24 +1998,26 @@ fn env_build_entry(st: &mut CellState, engine: &SimEngine<'_>, plan: ActuationPl
         );
         (stats, engine.window_power(&st.scene, &st.idle, &point, &st.plan_traffic, &mode, progressing))
     };
+    // The stable-temperature terms, split exactly as `DimmThermalScene::step`
+    // splits them: identity stacks multiply each source by its Ψ
+    // coefficient (summed ambient-first by [`row_stable`]), other stacks
+    // superpose Ψ from zero.
     let topology = st.scene.topology();
+    let depth = topology.depth();
+    let identity = topology.is_identity_split();
     let rows = window.positions.len() * depth;
-    let mut stab_a = vec![0.0; rows];
-    let mut stab_b = vec![0.0; rows];
-    if topology.is_identity_split() {
-        for (pos, p) in window.positions.iter().enumerate() {
-            for l in 0..depth {
+    let (mut stab_a, mut stab_b) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+    let mut watts = vec![0.0; depth];
+    for p in &window.positions {
+        topology.split_watts_into(p.amb_watts, p.dram_watts, &mut watts);
+        for l in 0..depth {
+            if identity {
                 let psi = topology.psi_row(l);
-                stab_a[pos * depth + l] = p.amb_watts * psi[0];
-                stab_b[pos * depth + l] = p.dram_watts * psi[1];
-            }
-        }
-    } else {
-        let mut watts = vec![0.0; depth];
-        for (pos, p) in window.positions.iter().enumerate() {
-            topology.split_watts_into(p.amb_watts, p.dram_watts, &mut watts);
-            for l in 0..depth {
-                stab_a[pos * depth + l] = topology.psi_superpose(&watts, l);
+                stab_a.push(watts[0] * psi[0]);
+                stab_b.push(watts[1] * psi[1]);
+            } else {
+                stab_a.push(topology.psi_superpose(&watts, l));
+                stab_b.push(0.0);
             }
         }
     }
@@ -2184,14 +2040,12 @@ fn env_build_entry(st: &mut CellState, engine: &SimEngine<'_>, plan: ActuationPl
     }
     let [(instr, bytes, misses, migrated, retires), (instr_oh, bytes_oh, misses_oh, migrated_oh, retires_oh)] = amounts;
     let throttled = (0..st.channel_throttle_s.len()).map(|ch| plan.throttles_channel(ch)).collect();
-    EnvPlanEntry {
+    PlanEntry {
         plan,
         mode,
         mode_key,
-        point,
         progressing,
         window,
-        plan_stats,
         stab_a,
         stab_b,
         instr,
@@ -2205,7 +2059,6 @@ fn env_build_entry(st: &mut CellState, engine: &SimEngine<'_>, plan: ActuationPl
         retires,
         retires_oh,
         throttled,
-        residency_s: 0.0,
     }
 }
 
@@ -2246,8 +2099,7 @@ fn env_band_slipping(lane: &Lane, j: usize, st: &CellState, options: &BatchOptio
             hi[r] = hi[r].max(t);
         }
     }
-    for (r, (lo, hi)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-        let t = lane.temps[r * lane.stride + j];
+    for ((lo, hi), &t) in lo.iter_mut().zip(hi.iter_mut()).zip(&lane.temps[lane.col(j)]) {
         *lo = lo.min(t);
         *hi = hi.max(t);
     }
@@ -2292,13 +2144,12 @@ fn env_band_frozen(lane: &Lane, j: usize, st: &mut CellState) -> Option<EnvBand>
     if !lane.layer_alphas.iter().all(|&a| a > 0.0 && a <= 1.0) {
         return None;
     }
-    st.scene.fixed_point_into(&st.window.positions, st.window.v_ipc, &mut st.fp);
+    let window = &st.plans[st.cur].window;
+    st.scene.fixed_point_into(&window.positions, window.v_ipc, &mut st.fp);
     let rows = lane.rows;
     let mut lo = vec![0.0; rows];
     let mut hi = vec![0.0; rows];
-    for (r, (lo, hi)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-        let t = lane.temps[r * lane.stride + j];
-        let f = st.fp[r];
+    for ((lo, hi), (&t, &f)) in lo.iter_mut().zip(hi.iter_mut()).zip(lane.temps[lane.col(j)].iter().zip(&st.fp)) {
         if !(t.is_finite() && f.is_finite()) {
             return None;
         }
@@ -2344,13 +2195,25 @@ fn env_row_range(a: f64, b: f64, lambda: f64, lambda_a: f64, nf: f64) -> (f64, f
     (fe, lo, hi)
 }
 
+/// Adds the burst's per-entry residency accumulators to the cell's
+/// residency map (one reassociation per entry instead of one map probe per
+/// window).
+fn env_flush_residency(st: &mut CellState, entries: &[PlanEntry], residency_s: &[f64]) {
+    for (e, &seconds) in entries.iter().zip(residency_s) {
+        if seconds > 0.0 {
+            *st.residency.entry(e.mode_key).or_insert(0.0) += seconds;
+        }
+    }
+}
+
 /// Flushes the burst's accumulators, syncs the scene and finalizes the
 /// departed cell.
 #[allow(clippy::too_many_arguments)]
 fn env_finish(
     st: &mut CellState,
     engine: &SimEngine<'_>,
-    entries: &[EnvPlanEntry],
+    entries: &[PlanEntry],
+    residency_s: &[f64],
     rows_t: &[f64],
     peaks: &[f64],
     env_windows: u64,
@@ -2359,11 +2222,7 @@ fn env_finish(
 ) -> (MemSpotResult, CellRunStats) {
     st.scene.set_layer_temps(rows_t);
     st.scene.set_layer_peaks(peaks);
-    for e in entries {
-        if e.residency_s > 0.0 {
-            *st.residency.entry(e.mode_key).or_insert(0.0) += e.residency_s;
-        }
-    }
+    env_flush_residency(st, entries, residency_s);
     st.stats.fast_forwarded_windows += env_windows;
     st.stats.envelope_cycles += pseudo_cycles;
     st.stats.replay_ns += started.elapsed().as_nanos() as u64;
@@ -2419,16 +2278,22 @@ fn envelope_burst(
     let ambient_alpha = lane.ambient_alpha;
     let has_buffer = lane.has_buffer;
     let kinds: Vec<DeviceLayerKind> = st.scene.topology().layers().iter().map(|l| l.kind).collect();
-    let shares_pos: Vec<bool> = (0..cores).map(|c| st.full_shares.get(c).copied().unwrap_or(0.0) > 0.0).collect();
 
     // Private column state (written back on fallback, synced on finalize).
-    let mut rows_t: Vec<f64> = (0..rows).map(|r| lane.temps[r * lane.stride + j]).collect();
-    let mut peaks: Vec<f64> = (0..rows).map(|r| lane.peaks[r * lane.stride + j]).collect();
+    let mut rows_t: Vec<f64> = lane.temps[lane.col(j)].to_vec();
+    let mut peaks: Vec<f64> = lane.peaks[lane.col(j)].to_vec();
     let mut cur_max_buf = lane.max_buffer[j];
     let mut cur_max_dram = lane.max_dram[j];
 
-    let first = env_build_entry(st, engine, st.plan.clone(), depth);
-    let mut entries: Vec<EnvPlanEntry> = vec![first];
+    // The plan entries the burst uses, in order of first use, each with the
+    // residency seconds accumulated while it was active (flushed into the
+    // cell's residency map when the burst exits). The burst indexes them
+    // (decision keys, run logs, audit caches), so it keeps its own list
+    // rather than the cell's bounded memo, which may overwrite a slot: a
+    // plan the memo holds is copied from it, any other is built, and a
+    // fallback hands the active entry back ([`CellState::adopt`]).
+    let mut entries: Vec<PlanEntry> = vec![st.entry().clone()];
+    let mut residency_s: Vec<f64> = vec![0.0];
     let mut cur: usize = 0;
 
     // Per-row closed-form coefficients of the licensed segment jump
@@ -2502,8 +2367,12 @@ fn envelope_burst(
             cur = match entries.iter().position(|e| e.plan == new_plan) {
                 Some(i) => i,
                 None => {
-                    let e = env_build_entry(st, engine, new_plan, depth);
-                    entries.push(e);
+                    let entry = match st.plans.iter().find(|e| e.plan == new_plan) {
+                        Some(e) => e.clone(),
+                        None => build_plan_entry(st, engine, new_plan),
+                    };
+                    entries.push(entry);
+                    residency_s.push(0.0);
                     entries.len() - 1
                 }
             };
@@ -2523,10 +2392,8 @@ fn envelope_burst(
             st.total_bytes += bytes;
             st.total_misses += misses;
             st.migrated_bytes += migrated;
-            for core in 0..cores {
-                if shares_pos[core] {
-                    st.batch.retire(core, retires[core]);
-                }
+            for (core, &amount) in retires.iter().enumerate() {
+                st.batch.retire(core, amount);
             }
         }
         let amb = st.scene.step_ambient(entries[cur].window.v_ipc, ambient_alpha);
@@ -2537,33 +2404,21 @@ fn envelope_burst(
         // returning `true` from [`member_pre`] promises, so the lane's RC
         // and post-step pick the window up seamlessly.
         if violation {
-            for r in 0..rows {
-                lane.temps[r * lane.stride + j] = rows_t[r];
-                lane.peaks[r * lane.stride + j] = peaks[r];
-            }
+            let col = lane.col(j);
+            lane.temps[col.clone()].copy_from_slice(&rows_t);
+            lane.peaks[col].copy_from_slice(&peaks);
             lane.max_buffer[j] = cur_max_buf;
             lane.max_dram[j] = cur_max_dram;
             lane.amb[j] = amb;
-            let e = &entries[cur];
-            st.plan = e.plan.clone();
-            st.mode = e.mode;
-            st.mode_key = e.mode_key;
-            st.point = Arc::clone(&e.point);
-            st.progressing = e.progressing;
-            st.plan_stats = e.plan_stats;
-            st.window = e.window.clone();
-            st.overhead_s = if overheaded { cfg.dtm_overhead_s } else { 0.0 };
-            lane.write_power_column(j, &st.window.positions, st.scene.topology());
+            env_flush_residency(st, &entries, &residency_s);
+            st.adopt(entries.swap_remove(cur));
+            st.overheaded = overheaded;
+            lane.write_power_column(j, st.entry());
             // The detector's history went stale while the burst ran.
             st.cycle.history.clear();
             st.cycle.recording = None;
             st.env_backoff = CYCLE_RETRY_BACKOFF << st.env_fails.min(CYCLE_BACKOFF_DOUBLINGS);
             st.env_fails = st.env_fails.saturating_add(1);
-            for e in &entries {
-                if e.residency_s > 0.0 {
-                    *st.residency.entry(e.mode_key).or_insert(0.0) += e.residency_s;
-                }
-            }
             st.stats.fast_forwarded_windows += env_windows;
             st.stats.envelope_cycles += jumps + if band.slipping { env_windows / band.period } else { 0 };
             st.stats.envelope_fallbacks += 1;
@@ -2579,7 +2434,7 @@ fn envelope_burst(
         let mut in_band = true;
         for r in 0..rows {
             let l = r % depth;
-            let s = if identity_split { (amb + e.stab_a[r]) + e.stab_b[r] } else { amb + e.stab_a[r] };
+            let s = row_stable(amb, e.stab_a[r], e.stab_b[r], identity_split);
             let t = &mut rows_t[r];
             *t += (s - *t) * lane.layer_alphas[l];
             peaks[r] = peaks[r].max(*t);
@@ -2600,14 +2455,14 @@ fn envelope_burst(
                 st.channel_throttle_s[channel] += step;
             }
         }
-        entries[cur].residency_s += step;
+        residency_s[cur] += step;
         st.time_s += step;
         env_windows += 1;
 
         // A: the stepped loop's window-head condition.
         if st.batch.is_complete() || st.time_s >= max {
             let pseudo = jumps + if band.slipping { env_windows / band.period } else { 0 };
-            return Some(env_finish(st, engine, &entries, &rows_t, &peaks, env_windows, pseudo, started));
+            return Some(env_finish(st, engine, &entries, &residency_s, &rows_t, &peaks, env_windows, pseudo, started));
         }
 
         // Segment jump: a frozen-plan run long enough to probe is advanced
@@ -2692,7 +2547,7 @@ fn envelope_burst(
                 chatter_next = u64::MAX;
                 continue;
             }
-            let off = |e: &EnvPlanEntry, r: usize| -> f64 {
+            let off = |e: &PlanEntry, r: usize| -> f64 {
                 if identity_split {
                     e.stab_a[r] + e.stab_b[r]
                 } else {
@@ -2772,10 +2627,7 @@ fn envelope_burst(
             // before any completion and `is_complete` flips exactly where
             // literal stepping puts it.
             let mut w_cap = u64::MAX;
-            for (core, &shares) in shares_pos.iter().enumerate().take(cores) {
-                if !shares {
-                    continue;
-                }
+            for core in 0..cores {
                 let rate = entries
                     .iter()
                     .filter(|e| e.progressing)
@@ -2891,13 +2743,12 @@ fn envelope_burst(
                     counts[ei] += 1;
                 }
                 amb_l += (stab_amb[cur_l] - amb_l) * ambient_alpha;
-                let s = if identity_split { (amb_l + sa_dram[cur_l]) + sb_dram[cur_l] } else { amb_l + sa_dram[cur_l] };
+                let s = row_stable(amb_l, sa_dram[cur_l], sb_dram[cur_l], identity_split);
                 t_dram += (s - t_dram) * a_dram;
                 peak_dram = peak_dram.max(t_dram);
                 let mut in_band = band.lo[b_dram] <= t_dram && t_dram <= band.hi[b_dram];
                 if has_buffer {
-                    let s =
-                        if identity_split { (amb_l + sa_buf[cur_l]) + sb_buf[cur_l] } else { amb_l + sa_buf[cur_l] };
+                    let s = row_stable(amb_l, sa_buf[cur_l], sb_buf[cur_l], identity_split);
                     t_buf += (s - t_buf) * a_buf;
                     peak_buf = peak_buf.max(t_buf);
                     in_band &= band.lo[b_buf] <= t_buf && t_buf <= band.hi[b_buf];
@@ -3105,26 +2956,21 @@ fn envelope_burst(
                 st.time_s += step;
                 st.next_dtm_s += dt;
             }
-            for (i, e) in entries.iter_mut().enumerate() {
+            for (i, e) in entries.iter().enumerate() {
                 let (c, coh) = (counts[i], counts_oh[i]);
                 if c + coh == 0 {
                     continue;
                 }
                 let (cf, cohf) = (c as f64, coh as f64);
                 let totf = cf + cohf;
-                e.residency_s += step * totf;
+                residency_s[i] += step * totf;
                 if e.progressing {
                     st.total_instructions += e.instr * cf + e.instr_oh * cohf;
                     st.total_bytes += e.bytes * cf + e.bytes_oh * cohf;
                     st.total_misses += e.misses * cf + e.misses_oh * cohf;
                     st.migrated_bytes += e.migrated * cf + e.migrated_oh * cohf;
-                    for (core, &pos) in shares_pos.iter().enumerate() {
-                        if pos {
-                            let n = e.retires[core] * c + e.retires_oh[core] * coh;
-                            if n > 0 {
-                                st.batch.retire(core, n);
-                            }
-                        }
+                    for (core, (&r, &r_oh)) in e.retires.iter().zip(&e.retires_oh).enumerate() {
+                        st.batch.retire(core, r * c + r_oh * coh);
                     }
                 }
                 st.energy.add(e.window.mem_w, e.window.cpu_w, step * totf);
@@ -3157,7 +3003,17 @@ fn envelope_burst(
             }
             if finished || st.batch.is_complete() || st.time_s >= max {
                 let pseudo = jumps + if band.slipping { env_windows / band.period } else { 0 };
-                return Some(env_finish(st, engine, &entries, &rows_t, &peaks, env_windows, pseudo, started));
+                return Some(env_finish(
+                    st,
+                    engine,
+                    &entries,
+                    &residency_s,
+                    &rows_t,
+                    &peaks,
+                    env_windows,
+                    pseudo,
+                    started,
+                ));
             }
             violation = viol;
             continue;
@@ -3380,10 +3236,8 @@ fn envelope_burst(
             st.total_bytes += e.bytes * mf;
             st.total_misses += e.misses * mf;
             st.migrated_bytes += e.migrated * mf;
-            for (core, &pos) in shares_pos.iter().enumerate() {
-                if pos && e.retires[core] > 0 {
-                    st.batch.retire(core, e.retires[core] * m);
-                }
+            for (core, &rate) in e.retires.iter().enumerate() {
+                st.batch.retire(core, rate * m);
             }
         }
         st.energy.add(e.window.mem_w, e.window.cpu_w, step * mf);
@@ -3423,7 +3277,7 @@ fn envelope_burst(
         }
         st.max_amb = st.max_amb.max(if has_buffer { peak_buf } else { f64::NAN });
         st.max_dram = st.max_dram.max(peak_dram);
-        entries[cur].residency_s += step * mf;
+        residency_s[cur] += step * mf;
         st.plan_streak = st.plan_streak.saturating_add(m.min(u64::from(u32::MAX)) as u32);
         run += m;
         next_attempt = run;
@@ -3431,7 +3285,7 @@ fn envelope_burst(
         jumps += 1;
         if st.batch.is_complete() || st.time_s >= max {
             let pseudo = jumps + if band.slipping { env_windows / band.period } else { 0 };
-            return Some(env_finish(st, engine, &entries, &rows_t, &peaks, env_windows, pseudo, started));
+            return Some(env_finish(st, engine, &entries, &residency_s, &rows_t, &peaks, env_windows, pseudo, started));
         }
     }
 }
@@ -3539,46 +3393,245 @@ mod tests {
         }
     }
 
+    /// Forwards every call the window loop makes to `inner` and records
+    /// each distinct plan `inner` decides, so a test can tell how many
+    /// memo entries a cell needed.
+    #[derive(Debug)]
+    struct PlanRecorder {
+        inner: Box<dyn DtmPolicy>,
+        seen: Arc<std::sync::Mutex<Vec<ActuationPlan>>>,
+    }
+
+    impl DtmPolicy for PlanRecorder {
+        fn decide(&mut self, observation: &ThermalObservation, dt_s: f64) -> ActuationPlan {
+            let plan = self.inner.decide(observation, dt_s);
+            let mut seen = self.seen.lock().expect("recorder lock");
+            if !seen.contains(&plan) {
+                seen.push(plan.clone());
+            }
+            plan
+        }
+
+        fn scheme(&self) -> crate::dtm::policy::DtmScheme {
+            self.inner.scheme()
+        }
+
+        fn uses_pid(&self) -> bool {
+            self.inner.uses_pid()
+        }
+
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+
+        fn observes_field(&self) -> bool {
+            self.inner.observes_field()
+        }
+    }
+
     #[test]
-    fn column_split_decision_pass_is_bit_identical_to_the_fused_pass() {
-        // The three policies depart their shared lane at different windows
-        // (completion vs steady-state fast-forward), so the column-split
-        // traversal's deferred descending removals are exercised against
-        // the fused traversal's inline ones. Results are compared on their
-        // Debug rendering: Rust formats `f64` shortest-roundtrip, so equal
-        // strings mean equal bit patterns in every float field.
+    fn literal_grid_policies_are_bit_identical_across_lane_widths_and_a_full_plan_memo() {
+        // The stateful policy set no analytic tier certifies (DTM-TS, the
+        // PID variants, CBW, MIG) in three lanes of widths 3, 2 and 1 —
+        // the last a non-identity 3D stack, so the kernel's superposition
+        // branch runs — each cell bit-identical to a per-cell MemSpot run.
+        // MIG's steering weights are continuous, so its cell decides more
+        // distinct plans than the memo holds and exercises the round-robin
+        // overwrite.
+        let (cpu, mem, power, cpu_power) = hardware();
+        let store = Arc::new(CharStore::new());
+        let config = |cooling: CoolingConfig, stack: StackKind| MemSpotConfig {
+            copies_per_app: 4,
+            instruction_scale: 1.0,
+            characterization_budget: 8_000,
+            max_sim_time_s: 2_000.0,
+            ..MemSpotConfig::paper(cooling).with_stack(stack)
+        };
+        let (aohs, fdhs) = (CoolingConfig::aohs_1_5(), CoolingConfig::fdhs_1_0());
+        let limits = ThermalLimits::paper_fbdimm();
+        let specs: Vec<(MemSpotConfig, WorkloadMix, u8)> = vec![
+            (config(aohs, StackKind::Fbdimm), mixes::w2(), 0),
+            (config(aohs, StackKind::Fbdimm), mixes::w2(), 1),
+            (config(aohs, StackKind::Fbdimm), mixes::w2(), 2),
+            (config(fdhs, StackKind::Fbdimm), mixes::w2(), 3),
+            (config(fdhs, StackKind::Fbdimm), mixes::w5(), 4),
+            (config(aohs, StackKind::stacked4()), mixes::w5(), 5),
+        ];
+        let make = |kind: u8| -> Box<dyn DtmPolicy> {
+            match kind {
+                0 => Box::new(DtmTs::new(cpu.clone(), limits)),
+                1 => Box::new(crate::dtm::bw::DtmBw::with_pid(cpu.clone(), limits)),
+                2 => Box::new(DtmAcg::with_pid(cpu.clone(), limits)),
+                3 => Box::new(crate::dtm::cdvfs::DtmCdvfs::with_pid(cpu.clone(), limits)),
+                4 => Box::new(crate::dtm::cbw::DtmCbw::new(cpu.clone(), limits)),
+                _ => Box::new(crate::dtm::mig::DtmMig::new(cpu.clone(), limits)),
+            }
+        };
+        let seen: Vec<Arc<std::sync::Mutex<Vec<ActuationPlan>>>> = specs.iter().map(|_| Arc::default()).collect();
+        let cells: Vec<BatchCell> = specs
+            .iter()
+            .zip(&seen)
+            .map(|((config, mix, kind), seen)| {
+                let policy = Box::new(PlanRecorder { inner: make(*kind), seen: Arc::clone(seen) });
+                BatchCell::new(&cpu, &mem, *config, mix.clone(), policy, Arc::clone(&store)).with_rotation_threads(1)
+            })
+            .collect();
+        let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
+        let batched = engine.run(cells, &BatchOptions::literal());
+
+        let configs: Vec<MemSpotConfig> = specs.iter().map(|s| s.0).collect();
+        let sim_engines: Vec<SimEngine<'_>> =
+            configs.iter().map(|c| SimEngine::new(&cpu, &mem, &power, &cpu_power, c)).collect();
+        let opts = BatchOptions::literal();
+        let states: Vec<CellState> = specs
+            .iter()
+            .zip(&sim_engines)
+            .map(|((config, mix, kind), e)| {
+                let cell = BatchCell::new(&cpu, &mem, *config, mix.clone(), make(*kind), Arc::clone(&store));
+                CellState::new(cell, e, &opts)
+            })
+            .collect();
+        let mut widths: Vec<usize> = lane_groups(&states).iter().map(Vec::len).collect();
+        widths.sort_unstable();
+        assert_eq!(widths, [1, 2, 3], "the cells must form lanes of widths 1, 2 and 3");
+
+        for (i, (((config, mix, kind), (got, stats)), seen)) in specs.iter().zip(&batched).zip(&seen).enumerate() {
+            let mut spot = crate::sim::memspot::MemSpot::with_store(cpu.clone(), mem, *config, Arc::clone(&store));
+            spot.set_level1_rotation_threads(1);
+            let want = spot.run(mix, make(*kind).as_mut());
+            assert_eq!(*got, want, "cell {i} ({}) diverged from the per-cell engine", want.policy);
+            assert_eq!(stats.fast_forwarded_windows, 0, "literal mode must never fast-forward");
+            assert!(stats.stepped_windows > 0);
+            // Every cell throttles, so plan flips return to memoized plans.
+            let distinct = seen.lock().expect("recorder lock").len();
+            assert!(distinct >= 2, "cell {i} ({}) never changed its plan", want.policy);
+            if *kind == 5 {
+                assert!(distinct > PLAN_MEMO_CAP, "MIG decided only {distinct} distinct plans");
+            }
+        }
+    }
+
+    #[test]
+    fn plan_memo_stays_bounded_and_reuses_held_and_adopted_entries() {
+        // More distinct plans than the memo holds: it stays at its bound
+        // with the requested plan active. A plan it still holds is a hit
+        // (nothing stored), and an entry handed back by an envelope burst
+        // is re-pointed to when held and stored once otherwise.
+        let (cpu, mem, power, cpu_power) = hardware();
+        let config = MemSpotConfig::tiny(CoolingConfig::aohs_1_5());
+        let engine = SimEngine::new(&cpu, &mem, &power, &cpu_power, &config);
+        let cell = BatchCell::new(&cpu, &mem, config, mixes::w5(), Box::new(NoLimit::new(&cpu)), Arc::default());
+        let mut st = CellState::new(cell.with_rotation_threads(1), &engine, &BatchOptions::literal());
+        let base = st.entry().plan.clone();
+        let plan = |k: usize| base.clone().with_channel_service(vec![(k + 1) as f64 / 64.0; mem.logical_channels]);
+        let held_plans = |st: &CellState| st.plans.iter().map(|e| e.plan.clone()).collect::<Vec<_>>();
+        for k in 0..PLAN_MEMO_CAP + 4 {
+            st.switch_plan(&engine, plan(k));
+            assert_eq!(st.entry().plan, plan(k));
+            assert!(st.plans.len() <= PLAN_MEMO_CAP);
+        }
+        assert_eq!(st.plans.len(), PLAN_MEMO_CAP);
+
+        let memo = held_plans(&st);
+        st.switch_plan(&engine, plan(PLAN_MEMO_CAP + 1));
+        assert_eq!(st.entry().plan, plan(PLAN_MEMO_CAP + 1));
+        assert_eq!(held_plans(&st), memo, "a hit must not store anything");
+        let rebuilt = build_plan_entry(&mut st, &engine, plan(PLAN_MEMO_CAP + 1));
+        assert_eq!((&st.entry().stab_a, &st.entry().stab_b), (&rebuilt.stab_a, &rebuilt.stab_b));
+        assert_eq!(st.entry().instr.to_bits(), rebuilt.instr.to_bits());
+
+        st.switch_plan(&engine, plan(PLAN_MEMO_CAP + 2));
+        st.adopt(rebuilt);
+        assert_eq!(st.entry().plan, plan(PLAN_MEMO_CAP + 1));
+        assert_eq!(held_plans(&st), memo, "adopting a held plan must re-point, not store");
+
+        let fresh = build_plan_entry(&mut st, &engine, plan(999));
+        st.adopt(fresh);
+        assert_eq!(st.entry().plan, plan(999));
+        assert_eq!(st.plans.len(), PLAN_MEMO_CAP);
+        assert_eq!(st.plans.iter().filter(|e| e.plan == plan(999)).count(), 1);
+    }
+
+    #[test]
+    fn an_envelope_fallback_hands_the_burst_plan_back_to_the_cell() {
+        // The cell enters a burst on a throttled plan its policy leaves at
+        // the first decision, and the band holds no temperature, so the
+        // burst falls back at its second window head on a plan other than
+        // the one it entered on. That plan must come back active, with its
+        // power terms in the lane column, and both plans stay memoized.
+        let (cpu, mem, power, cpu_power) = hardware();
+        let config = MemSpotConfig::tiny(CoolingConfig::aohs_1_5());
+        let engine = SimEngine::new(&cpu, &mem, &power, &cpu_power, &config);
+        let cell = BatchCell::new(&cpu, &mem, config, mixes::w1(), Box::new(NoLimit::new(&cpu)), Arc::default());
+        let mut st = CellState::new(cell.with_rotation_threads(1), &engine, &BatchOptions::literal());
+        let full = st.entry().plan.clone();
+        let throttled = full.clone().with_channel_service(vec![0.5; mem.logical_channels]);
+        st.switch_plan(&engine, throttled.clone());
+
+        let mut works = lane_works(vec![st], vec![vec![0]]);
+        let LaneWork { lane, states, .. } = &mut works[0];
+        let band = EnvBand {
+            lo: vec![f64::INFINITY; lane.rows],
+            hi: vec![f64::NEG_INFINITY; lane.rows],
+            period: 1,
+            slipping: false,
+        };
+        assert!(envelope_burst(lane, 0, &mut states[0], &engine, band).is_none(), "the burst must fall back");
+        let st = &states[0];
+        assert_eq!(st.stats.envelope_fallbacks, 1);
+        assert_eq!(st.entry().plan, full);
+        assert_eq!(lane.term_a[lane.col(0)], st.entry().stab_a[..]);
+        assert_eq!(lane.term_b[lane.col(0)], st.entry().stab_b[..]);
+        assert_eq!(st.plans.len(), 2);
+        assert!(st.plans.iter().any(|e| e.plan == throttled));
+    }
+
+    #[test]
+    fn stable_for_reproduces_the_stable_temperature_the_kernel_stepped() {
+        // One window on an identity-split (FBDIMM) and a stacked
+        // (non-identity) lane: the lane temperatures must equal a per-cell
+        // scene step bit for bit, and `stable_for` must return, for every
+        // row, the stable value that step relaxed toward.
         let (cpu, mem, power, cpu_power) = hardware();
         let store = Arc::new(CharStore::new());
         let limits = ThermalLimits::paper_fbdimm();
-        let make_cells = || -> Vec<BatchCell> {
-            let policies: [Box<dyn DtmPolicy>; 3] = [
-                Box::new(NoLimit::new(&cpu)),
-                Box::new(DtmTs::new(cpu.clone(), limits)),
-                Box::new(DtmAcg::new(cpu.clone(), limits)),
+        for stack in [StackKind::Fbdimm, StackKind::stacked4()] {
+            let configs = [
+                MemSpotConfig::tiny(CoolingConfig::aohs_1_5()).with_stack(stack),
+                MemSpotConfig::tiny(CoolingConfig::aohs_1_5()).with_stack(stack),
             ];
-            policies
-                .into_iter()
-                .map(|policy| {
-                    let config = MemSpotConfig::tiny(CoolingConfig::aohs_1_5());
-                    BatchCell::new(&cpu, &mem, config, mixes::w1(), policy, Arc::clone(&store)).with_rotation_threads(1)
+            let sim_engines: Vec<SimEngine<'_>> =
+                configs.iter().map(|c| SimEngine::new(&cpu, &mem, &power, &cpu_power, c)).collect();
+            let policies: [Box<dyn DtmPolicy>; 2] =
+                [Box::new(NoLimit::new(&cpu)), Box::new(crate::dtm::bw::DtmBw::with_pid(cpu.clone(), limits))];
+            let opts = BatchOptions::literal();
+            let states: Vec<CellState> = configs
+                .iter()
+                .zip(policies)
+                .zip(&sim_engines)
+                .map(|((config, policy), e)| {
+                    let cell = BatchCell::new(&cpu, &mem, *config, mixes::w1(), policy, Arc::clone(&store));
+                    CellState::new(cell.with_rotation_threads(1), e, &opts)
                 })
-                .collect()
-        };
-        let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
-        for base in [BatchOptions::literal(), BatchOptions::default()] {
-            let fused = engine.run(make_cells(), &BatchOptions { decision_pass: DecisionPass::Fused, ..base });
-            let split = BatchOptions { decision_pass: DecisionPass::ColumnSplit, ..base };
-            for workers in [1, 3] {
-                let got = engine.run_with_workers(make_cells(), &split, workers);
-                assert_eq!(got.len(), fused.len());
-                for ((got, _), (want, _)) in got.iter().zip(&fused) {
-                    assert_eq!(
-                        format!("{got:?}"),
-                        format!("{want:?}"),
-                        "column-split pass diverged from fused \
-                         (fast_forward={}, workers={workers})",
-                        base.fast_forward
-                    );
+                .collect();
+            let mut scenes: Vec<DimmThermalScene> = states.iter().map(|st| st.scene.clone()).collect();
+            let mut works = lane_works(states, vec![vec![0, 1]]);
+            let LaneWork { globals, lane, states, results } = &mut works[0];
+            assert_eq!(lane.identity_split, stack == StackKind::Fbdimm);
+            lane_pre(lane, globals, &sim_engines, states, &opts, results);
+            assert_eq!(lane.members.len(), 2);
+            let before = lane.temps.clone();
+            lane_rc(lane);
+            for (j, &cell) in lane.members.iter().enumerate() {
+                let st = &states[cell];
+                let scene = &mut scenes[cell];
+                scene.step(&st.entry().window.positions, st.entry().window.v_ipc, st.step_s);
+                assert_eq!(scene.ambient_c().to_bits(), lane.amb[j].to_bits());
+                for (r, (&t, &reference)) in lane.temps[lane.col(j)].iter().zip(scene.layer_temps_flat()).enumerate() {
+                    assert_eq!(t.to_bits(), reference.to_bits(), "{stack:?} member {j} row {r}: kernel vs scene step");
+                    let t0 = before[j * lane.rows + r];
+                    let replayed = t0 + (lane.stable_for(j, r) - t0) * lane.row_alphas[r];
+                    assert_eq!(replayed.to_bits(), t.to_bits(), "{stack:?} member {j} row {r}: stable_for");
                 }
             }
         }
@@ -3613,8 +3666,8 @@ mod tests {
         assert_eq!(works.iter().map(|w| w.lane.members.len()).max(), Some(2));
         for work in &works {
             let lane = &work.lane;
-            assert_eq!(lane.stride, lane.members.len());
-            assert_eq!(lane.temps.len(), lane.rows * lane.stride);
+            assert_eq!(lane.temps.len(), lane.rows * lane.members.len());
+            assert_eq!(lane.term_a.len(), lane.temps.len());
             assert_eq!(work.globals.len(), work.states.len());
         }
     }

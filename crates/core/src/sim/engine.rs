@@ -7,9 +7,10 @@
 //!    other tier is defined as "bit-identical to this loop" — and the right
 //!    tool for a single run or when a policy needs bespoke instrumentation.
 //! 2. **Batched lockstep** ([`crate::sim::batch`]): many independent cells
-//!    share one row-major temperature matrix and advance in lockstep lanes,
-//!    turning the per-window RC update into contiguous row sweeps. Same
-//!    bits, better memory behavior; the sweep harness uses it by default.
+//!    share one temperature matrix (a contiguous column per cell) and
+//!    advance in lockstep lanes, with everything a plan change rebuilds
+//!    memoized per plan. Same bits, less per-window work; the sweep harness
+//!    uses it by default.
 //! 3. **Lane-parallel stepping** (`BatchedSimEngine::run_with_workers`):
 //!    the lanes of tier 2 fanned across OS threads, with dominant lanes
 //!    split column-wise so every worker has work. Lanes never interact, so

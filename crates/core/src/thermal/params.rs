@@ -409,7 +409,7 @@ impl StackTopology {
     ///
     /// Every non-identity stable-state computation in the crate (the
     /// per-cell `DimmThermalScene::step`, the RC fixed point, and the
-    /// batched tier's cached superposition matrix) goes through this helper
+    /// batched tier's cached superposition terms) goes through this helper
     /// so the floating-point operation order — and hence the rounding — is
     /// identical at every site.
     #[inline]

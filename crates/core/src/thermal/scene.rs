@@ -421,7 +421,7 @@ impl DimmThermalScene {
         } else {
             // Non-identity stacks superpose Ψ from zero and add the ambient
             // last: the same operation order as the batched tier's cached
-            // superposition matrix, so both paths round identically.
+            // superposition terms, so both paths round identically.
             for (pos, p) in powers.iter().enumerate() {
                 self.topology.split_watts_into(p.amb_watts, p.dram_watts, &mut self.watts);
                 let base = pos * depth;
@@ -439,7 +439,7 @@ impl DimmThermalScene {
     /// Advances only the shared ambient node by one precomputed decay
     /// factor and returns the new ambient temperature. The batched engine
     /// ([`crate::sim::batch`]) steps each cell's ambient individually, then
-    /// runs one fused per-layer RC loop over the whole lane; routing the
+    /// runs one RC kernel over the whole lane; routing the
     /// update through the same `step_with_alpha` call keeps every cell's
     /// ambient bit-identical to a [`DimmThermalScene::step`] sequence.
     pub(crate) fn step_ambient(&mut self, sum_voltage_ipc: f64, alpha: f64) -> f64 {
@@ -657,15 +657,15 @@ impl DimmThermalScene {
     }
 
     /// Like [`DimmThermalScene::observe_into`] but reading the temperature
-    /// field from column `col` of a row-major lane matrix (`stride` cells
-    /// per row) instead of the scene's own field. The batched engine
-    /// ([`crate::sim::batch`]) keeps in-flight temperatures in its lane, so
-    /// observing through this method skips the two full-field copies a
-    /// sync-then-observe round trip would cost per DTM decision. The column
-    /// is gathered once into the observation's own `layer_temps_c` buffer
-    /// and summarized from there, so every derived quantity carries bits
-    /// identical to a synced [`DimmThermalScene::observe_into`].
-    pub(crate) fn observe_lane_into(&self, temps: &[f64], stride: usize, col: usize, obs: &mut ThermalObservation) {
+    /// field from `temps` (one lane column of the batched engine,
+    /// [`crate::sim::batch`], laid out like the scene's own field) instead
+    /// of the scene's own field. Observing through this method skips the
+    /// two full-field copies a sync-then-observe round trip would cost per
+    /// DTM decision. The column is copied once into the observation's own
+    /// `layer_temps_c` buffer and summarized from there, so every derived
+    /// quantity carries bits identical to a synced
+    /// [`DimmThermalScene::observe_into`].
+    pub(crate) fn observe_lane_into(&self, temps: &[f64], obs: &mut ThermalObservation) {
         let depth = self.topology.depth();
         obs.max_amb_c = f64::NEG_INFINITY;
         obs.max_dram_c = f64::NEG_INFINITY;
@@ -677,7 +677,7 @@ impl DimmThermalScene {
         obs.positions.reserve(self.coords.len());
         let mut field = std::mem::take(&mut obs.layer_temps_c);
         field.clear();
-        field.extend(temps[col..].iter().step_by(stride).take(self.coords.len() * depth));
+        field.extend_from_slice(&temps[..self.coords.len() * depth]);
         for pos in 0..self.coords.len() {
             let summary = self.summarize(pos, &field);
             if summary.amb_c > obs.max_amb_c {
