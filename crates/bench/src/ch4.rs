@@ -111,7 +111,7 @@ pub struct MatrixRun {
 }
 
 /// Every input of one [`run_matrix`] call: the key of its level-2 memo.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct MatrixKey {
     scale: Scale,
     spreader: HeatSpreader,
@@ -400,15 +400,26 @@ pub fn fig4_11(scale: Scale) -> Table {
     );
     let coolings = [CoolingConfig::fdhs_1_0(), CoolingConfig::aohs_1_5()];
     let scenarios = isolated_grid(scale, &coolings, &PolicySpec::threshold_set());
-    // One sweep per DTM interval; the simulation window stays at the
-    // scale's default.
-    let sweeps: Vec<Vec<MatrixRun>> = intervals_ms
+    // The grid once per DTM interval, as one dispatch; the simulation window
+    // stays at the scale's default. Cells are interleaved interval-minor
+    // (cell `k` of interval `i` at `k * intervals + i`), so every guided
+    // chunk mixes the heavy 1 ms cells with the lighter ones.
+    let mut columns: Vec<_> = intervals_ms
         .iter()
         .map(|&interval| {
             let dtm_interval_s = interval / 1000.0;
-            shared_runner().run(&scenarios, |c| MemSpotConfig { dtm_interval_s, ..scale.memspot_config(c) }).runs
+            let resolve =
+                |s: &SweepScenario| s.resolve(|c| MemSpotConfig { dtm_interval_s, ..scale.memspot_config(c) });
+            scenarios.iter().flat_map(resolve).collect::<Vec<_>>().into_iter()
         })
         .collect();
+    let mut cells = Vec::new();
+    while let Some(cell) = columns[cells.len() % intervals_ms.len()].next() {
+        cells.push(cell);
+    }
+    let runs = shared_runner().dispatch(cells).runs;
+    let sweeps: Vec<Vec<&MatrixRun>> =
+        (0..intervals_ms.len()).map(|i| runs.iter().skip(i).step_by(intervals_ms.len()).collect()).collect();
     let cpu = CpuConfig::paper_quad_core();
     for cooling in coolings {
         for spec in PolicySpec::threshold_set() {
@@ -542,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "runs a smoke-scale simulation matrix (~seconds in release); exercised by the Criterion benches"]
+    #[cfg_attr(debug_assertions, ignore = "runs a smoke-scale simulation matrix; run with --release")]
     fn fig4_3_smoke_produces_sane_normalized_times() {
         let t = fig4_3(Scale::Smoke);
         assert!(!t.rows.is_empty());

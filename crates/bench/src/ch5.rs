@@ -1,86 +1,206 @@
 //! Chapter 5 experiments: the server-platform case study.
+//!
+//! Every level-2 run of the chapter is a [`Ch5Run`]: a server, a workload
+//! mix and a policy at one scale, with or without a recorded temperature
+//! trace. A figure driver lists the runs it needs and reads them through a
+//! process-wide memo with one entry per run. The runs it misses are
+//! resolved into sweep cells ([`Ch5Run::cell`]) and simulated by one
+//! [`SweepRunner::dispatch`], which fans the cells of every server the
+//! figure needs across all cores (one batched engine per server hardware
+//! inside a chunk). Each distinct run is thus simulated once per process:
+//! Figures 5.8–5.11 and the 90 °C column of Figure 5.14 read the runs of
+//! Figure 5.6, and Figure 5.13 reads its DTM-BW reference from them.
+//!
+//! The cells are configured by the same [`Server::memspot_config`] as
+//! `platform_emu::PlatformExperiment` and dispatched with
+//! [`BatchOptions::literal`], so every result is bit-identical to that
+//! per-run driver's. The software policies read a noisy sensor, so no
+//! fast-forward tier could take them over anyway; the literal options keep
+//! the no-limit baseline, which the steady-state fast-forward would
+//! otherwise replay, exact too.
 
 use std::sync::Arc;
 
-use platform_emu::{Measurement, PlatformExperiment, PlatformPolicy, PolicyKind, Server, TimeSliceModel};
-use workloads::mixes;
+use memtherm::dtm::policy::DtmPolicy;
+use memtherm::dtm::NoLimit;
+use memtherm::sim::batch::BatchOptions;
+use memtherm::sim::memspot::{MemSpotConfig, MemSpotResult};
+use platform_emu::experiment::average_amb_c;
+use platform_emu::{Measurement, PlatformPolicy, PolicyKind, Server, TimeSliceModel};
+use workloads::{mixes, WorkloadMix};
 
-use crate::harness::{f1, f3, mean, shared_store, Memo, Scale, Table};
+use crate::harness::{f1, f3, mean, shared_runner, Memo, Scale, Table};
+use crate::sweep::{SweepCell, SweepRunner};
 
-fn experiment(scale: Scale, server: Server) -> PlatformExperiment {
-    PlatformExperiment::with_store(
-        server,
-        scale.platform_runs_per_app(),
-        scale.platform_instruction_scale(),
-        shared_store(),
-    )
-}
-
-fn ch5_mixes(scale: Scale) -> Vec<workloads::WorkloadMix> {
+fn ch5_mixes(scale: Scale) -> Vec<WorkloadMix> {
     match scale {
         Scale::Smoke => vec![mixes::w1(), mixes::w8()],
         _ => mixes::all_ch4_mixes(),
     }
 }
 
-/// Every input of one [`policy_runs`] call: the key of its level-2 memo.
-/// The server is compared field by field, so a changed ambient or TDP is a
-/// different key.
-#[derive(Debug, PartialEq)]
-struct PolicyRunsKey {
-    scale: Scale,
-    server: Server,
-    mix_ids: Vec<String>,
+/// The policy of one Chapter 5 run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ch5Policy {
+    /// No thermal management: the baseline of the normalized figures.
+    NoLimit,
+    /// A software DTM policy.
+    Platform {
+        /// Which policy.
+        kind: PolicyKind,
+        /// A cpufreq operating-point index the processor is pinned to
+        /// (Figure 5.13), or `None` for the policy's own frequency control.
+        fixed_frequency_index: Option<usize>,
+    },
+}
+
+impl Ch5Policy {
+    /// A software policy with its own frequency control.
+    pub fn platform(kind: PolicyKind) -> Self {
+        Ch5Policy::Platform { kind, fixed_frequency_index: None }
+    }
+
+    /// The policy's row label in the figures.
+    fn label(self) -> String {
+        match self {
+            Ch5Policy::NoLimit => "No-limit".to_string(),
+            Ch5Policy::Platform { kind, .. } => kind.to_string(),
+        }
+    }
+}
+
+/// The no-limit baseline followed by every software policy: the runs of
+/// one (server, mix) pair in the normalized-time figures.
+const POLICY_SET: [Ch5Policy; 5] = [
+    Ch5Policy::NoLimit,
+    Ch5Policy::Platform { kind: PolicyKind::Bw, fixed_frequency_index: None },
+    Ch5Policy::Platform { kind: PolicyKind::Acg, fixed_frequency_index: None },
+    Ch5Policy::Platform { kind: PolicyKind::Cdvfs, fixed_frequency_index: None },
+    Ch5Policy::Platform { kind: PolicyKind::Comb, fixed_frequency_index: None },
+];
+
+/// Every input of one Chapter 5 level-2 run, and the key of its memo
+/// entry. The server and mix are compared field by field, so a changed
+/// ambient or TDP is a different run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ch5Run {
+    /// Batch size and instruction scale of the run.
+    pub scale: Scale,
+    /// The server the run emulates.
+    pub server: Server,
+    /// The workload mix.
+    pub mix: WorkloadMix,
+    /// The DTM policy.
+    pub policy: Ch5Policy,
+    /// Whether the temperature trace is recorded (the homogeneous curves of
+    /// Figures 5.4 and 5.5).
+    pub trace: bool,
+}
+
+impl Ch5Run {
+    /// A software-policy (or no-limit) run without a trace.
+    pub fn new(scale: Scale, server: &Server, mix: &WorkloadMix, policy: Ch5Policy) -> Self {
+        Ch5Run { scale, server: server.clone(), mix: mix.clone(), policy, trace: false }
+    }
+
+    /// A no-limit run of one copy of `app` per core of the server, with its
+    /// temperature trace recorded.
+    pub fn homogeneous_curve(scale: Scale, server: &Server, app: &workloads::AppBehavior) -> Self {
+        let mix = WorkloadMix::homogeneous(app.clone(), server.cpu.cores);
+        Ch5Run { trace: true, ..Self::new(scale, server, &mix, Ch5Policy::NoLimit) }
+    }
+
+    /// The sweep cell that simulates this run on the server's hardware.
+    pub fn cell(&self) -> SweepCell {
+        let server = &self.server;
+        let config = MemSpotConfig {
+            record_temp_trace: self.trace,
+            ..server.memspot_config(self.scale.platform_runs_per_app(), self.scale.platform_instruction_scale())
+        };
+        let policy: Box<dyn DtmPolicy> = match self.policy {
+            Ch5Policy::NoLimit => Box::new(NoLimit::new(&server.cpu)),
+            Ch5Policy::Platform { kind, fixed_frequency_index } => {
+                let policy = PlatformPolicy::new(kind, server.clone());
+                match fixed_frequency_index {
+                    Some(index) => Box::new(policy.with_fixed_frequency_index(index)),
+                    None => Box::new(policy),
+                }
+            }
+        };
+        SweepCell { cpu: server.cpu.clone(), mem: server.mem, config, mix: self.mix.clone(), policy }
+    }
+}
+
+/// Simulates `runs` as one dispatch on `runner` with literal batch options
+/// and returns their results in order.
+pub fn dispatch<'a>(runner: &SweepRunner, runs: impl IntoIterator<Item = &'a Ch5Run>) -> Vec<MemSpotResult> {
+    let cells = runs.into_iter().map(Ch5Run::cell).collect();
+    let outcome = runner.clone().with_batch_options(BatchOptions::literal()).dispatch(cells);
+    outcome.runs.into_iter().map(|run| run.result).collect()
+}
+
+/// Level-2 memo of Chapter 5 runs, one entry per distinct run.
+static RUN_MEMO: Memo<Ch5Run, MemSpotResult> = Memo::new();
+
+/// The results of `runs`, in order, memoized for the rest of the process.
+/// The runs not yet in the memo are simulated together in one dispatch on
+/// all cores against the shared level-1 store.
+fn simulate(runs: &[Ch5Run]) -> Vec<Arc<MemSpotResult>> {
+    RUN_MEMO.get_or_compute_all(runs.to_vec(), |missing| dispatch(&shared_runner(), missing.iter().copied()))
 }
 
 /// One `(mix, policy, measurement)` row per run, mix-major.
 type PolicyRuns = Vec<(String, String, Measurement)>;
 
-/// Level-2 memo of [`policy_runs`] results, one entry per distinct call.
-static POLICY_RUNS_MEMO: Memo<PolicyRunsKey, PolicyRuns> = Memo::new();
+/// Runs every mix without DTM and under each software policy on every
+/// server, and returns one row list per server.
+fn policy_runs(scale: Scale, servers: &[Server], mixes_list: &[WorkloadMix]) -> Vec<PolicyRuns> {
+    let runs: Vec<Ch5Run> = servers
+        .iter()
+        .flat_map(|server| {
+            mixes_list.iter().flat_map(move |mix| POLICY_SET.iter().map(move |&p| Ch5Run::new(scale, server, mix, p)))
+        })
+        .collect();
+    let rows: Vec<(String, String, Measurement)> = runs
+        .iter()
+        .zip(simulate(&runs))
+        .map(|(run, result)| (run.mix.id.clone(), run.policy.label(), Measurement::from_result(&run.server, &result)))
+        .collect();
+    rows.chunks((mixes_list.len() * POLICY_SET.len()).max(1)).map(<[_]>::to_vec).collect()
+}
 
-/// Runs every mix without DTM and under each software policy on `server`,
-/// memoized for the rest of the process under the full set of inputs.
-fn policy_runs(scale: Scale, server: Server, mixes_list: &[workloads::WorkloadMix]) -> Arc<PolicyRuns> {
-    let key =
-        PolicyRunsKey { scale, server: server.clone(), mix_ids: mixes_list.iter().map(|m| m.id.clone()).collect() };
-    POLICY_RUNS_MEMO.get_or_compute(key, || {
-        // Fan the mixes across cores; each worker drives its own experiment
-        // over the shared level-1 store.
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let groups = crate::sweep::parallel_map(threads, mixes_list, |mix| {
-            let mut exp = experiment(scale, server.clone());
-            let mut out = Vec::new();
-            let base = exp.run_no_limit(mix);
-            out.push((mix.id.clone(), "No-limit".to_string(), base.measurement));
-            for kind in PolicyKind::ALL {
-                let run = exp.run_policy(mix, kind);
-                out.push((mix.id.clone(), kind.to_string(), run.measurement));
-            }
-            out
-        });
-        groups.into_iter().flatten().collect()
-    })
+/// [`policy_runs`] of the SR1500AL alone (Figures 5.9–5.11).
+fn sr1500al_policy_runs(scale: Scale) -> PolicyRuns {
+    policy_runs(scale, &[Server::sr1500al()], &ch5_mixes(scale)).pop().unwrap_or_default()
 }
 
 fn find<'a>(runs: &'a [(String, String, Measurement)], mix: &str, policy: &str) -> Option<&'a Measurement> {
     runs.iter().find(|(m, p, _)| m == mix && p == policy).map(|(_, _, meas)| meas)
 }
 
+/// Homogeneous-curve runs of the named SPEC CPU2000 applications on
+/// `server`.
+fn homogeneous_runs(scale: Scale, server: &Server, apps: &[&str]) -> Vec<Ch5Run> {
+    apps.iter()
+        .map(|name| {
+            let app = workloads::spec2000::by_name(name).expect("known application");
+            Ch5Run::homogeneous_curve(scale, server, &app)
+        })
+        .collect()
+}
+
 /// Figure 5.4: AMB temperature of the first 500 s of homogeneous workloads
 /// on the SR1500AL (no DTM control).
 pub fn fig5_4(scale: Scale) -> Table {
-    let mut exp = experiment(scale, Server::sr1500al());
     let apps = ["swim", "mgrid", "galgel", "apsi", "vpr"];
     let mut t = Table::new(
         "fig5_4",
         "AMB temperature curve for the first 500 s of homogeneous workloads on the SR1500AL",
         &["application", "time s", "AMB degC"],
     );
-    for name in apps {
-        let app = workloads::spec2000::by_name(name).expect("known application");
-        let curve = exp.homogeneous_temperature_curve(&app, 500.0);
-        for sample in curve.iter().step_by(10) {
+    let results = simulate(&homogeneous_runs(scale, &Server::sr1500al(), &apps));
+    for (name, result) in apps.iter().zip(results) {
+        for sample in result.temp_trace.iter().filter(|s| s.time_s <= 500.0).step_by(10) {
             t.push_row([name.to_string(), f1(sample.time_s), f1(sample.amb_c)]);
         }
     }
@@ -90,7 +210,6 @@ pub fn fig5_4(scale: Scale) -> Table {
 /// Figure 5.5: average AMB temperature of homogeneous SPEC CPU2000 workloads
 /// on the PE1950 without DTM control.
 pub fn fig5_5(scale: Scale) -> Table {
-    let mut exp = experiment(scale, Server::pe1950());
     let mut t = Table::new(
         "fig5_5",
         "Average AMB temperature when memory is driven by homogeneous workloads on the PE1950 (no DTM)",
@@ -100,10 +219,9 @@ pub fn fig5_5(scale: Scale) -> Table {
         Scale::Smoke => vec!["swim", "galgel", "vpr"],
         _ => workloads::spec2000::all().iter().map(|a| a.name).collect(),
     };
-    for name in apps {
-        let app = workloads::spec2000::by_name(name).expect("known application");
-        let avg = exp.homogeneous_average_amb(&app);
-        t.push_row([name.to_string(), f1(avg)]);
+    let results = simulate(&homogeneous_runs(scale, &Server::pe1950(), &apps));
+    for (name, result) in apps.iter().zip(results) {
+        t.push_row([name.to_string(), f1(average_amb_c(&result.temp_trace))]);
     }
     t
 }
@@ -116,8 +234,7 @@ fn normalized_time_table(
     mixes_list: &[workloads::WorkloadMix],
 ) -> Table {
     let mut t = Table::new(id, title, &["server", "workload", "policy", "normalized time"]);
-    for server in servers {
-        let runs = policy_runs(scale, server.clone(), mixes_list);
+    for (server, runs) in servers.iter().zip(policy_runs(scale, servers, mixes_list)) {
         for (mix, policy, m) in runs.iter() {
             if policy == "No-limit" {
                 continue;
@@ -160,8 +277,8 @@ pub fn fig5_8(scale: Scale) -> Table {
         "Normalized numbers of L2 cache misses (vs DTM-BW)",
         &["server", "workload", "policy", "normalized L2 misses"],
     );
-    for server in [Server::pe1950(), Server::sr1500al()] {
-        let runs = policy_runs(scale, server.clone(), &ch5_mixes(scale));
+    let servers = [Server::pe1950(), Server::sr1500al()];
+    for (server, runs) in servers.iter().zip(policy_runs(scale, &servers, &ch5_mixes(scale))) {
         for (mix, policy, m) in runs.iter() {
             if policy == "No-limit" || policy == "DTM-BW" {
                 continue;
@@ -175,7 +292,7 @@ pub fn fig5_8(scale: Scale) -> Table {
 
 /// Figure 5.9: measured memory inlet temperature per policy on the SR1500AL.
 pub fn fig5_9(scale: Scale) -> Table {
-    let runs = policy_runs(scale, Server::sr1500al(), &ch5_mixes(scale));
+    let runs = sr1500al_policy_runs(scale);
     let mut t = Table::new(
         "fig5_9",
         "Measured memory inlet (CPU exhaust) temperature on the SR1500AL",
@@ -193,7 +310,7 @@ pub fn fig5_9(scale: Scale) -> Table {
 /// Figure 5.10: CPU power consumption per policy on the SR1500AL
 /// (normalized to DTM-BW).
 pub fn fig5_10(scale: Scale) -> Table {
-    let runs = policy_runs(scale, Server::sr1500al(), &ch5_mixes(scale));
+    let runs = sr1500al_policy_runs(scale);
     let mut t = Table::new(
         "fig5_10",
         "CPU power consumption on the SR1500AL (normalized to DTM-BW)",
@@ -212,7 +329,7 @@ pub fn fig5_10(scale: Scale) -> Table {
 /// Figure 5.11: normalized CPU + memory energy per policy on the SR1500AL
 /// (vs DTM-BW).
 pub fn fig5_11(scale: Scale) -> Table {
-    let runs = policy_runs(scale, Server::sr1500al(), &ch5_mixes(scale));
+    let runs = sr1500al_policy_runs(scale);
     let mut t = Table::new(
         "fig5_11",
         "Normalized energy consumption (CPU + memory) of DTM policies on the SR1500AL (vs DTM-BW)",
@@ -250,17 +367,29 @@ pub fn fig5_13(scale: Scale) -> Table {
         &["workload", "policy", "frequency GHz", "normalized time"],
     );
     let server = Server::sr1500al();
-    let mut exp = experiment(scale, server.clone());
-    for mix in ch5_mixes(scale) {
-        // Reference: DTM-BW at full frequency.
-        let mut bw_fast = PlatformPolicy::new(PolicyKind::Bw, server.clone());
-        let reference = exp.run_with(&mix, &mut bw_fast).measurement;
-        for (kind, label) in [(PolicyKind::Bw, "DTM-BW"), (PolicyKind::Acg, "DTM-ACG")] {
-            for (freq_idx, freq_label) in [(0usize, 3.0f64), (3, 2.0)] {
-                let mut policy = PlatformPolicy::new(kind, server.clone()).with_fixed_frequency_index(freq_idx);
-                let m = exp.run_with(&mix, &mut policy).measurement;
-                t.push_row([mix.id.clone(), label.to_string(), f1(freq_label), f3(m.normalized_time(&reference))]);
-            }
+    let mixes_list = ch5_mixes(scale);
+    // Per mix: the reference (DTM-BW at full frequency), then each policy
+    // at each fixed frequency (cpufreq index, GHz).
+    let variants: Vec<(PolicyKind, usize, f64)> =
+        [PolicyKind::Bw, PolicyKind::Acg].into_iter().flat_map(|kind| [(kind, 0, 3.0), (kind, 3, 2.0)]).collect();
+    let runs: Vec<Ch5Run> = mixes_list
+        .iter()
+        .flat_map(|mix| {
+            let pinned = variants
+                .iter()
+                .map(|&(kind, index, _)| Ch5Policy::Platform { kind, fixed_frequency_index: Some(index) });
+            std::iter::once(Ch5Policy::platform(PolicyKind::Bw))
+                .chain(pinned)
+                .map(|policy| Ch5Run::new(scale, &server, mix, policy))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let results = simulate(&runs);
+    for (mix, group) in mixes_list.iter().zip(results.chunks(variants.len() + 1)) {
+        let reference = Measurement::from_result(&server, &group[0]);
+        for (&(kind, _, freq_ghz), result) in variants.iter().zip(&group[1..]) {
+            let m = Measurement::from_result(&server, result);
+            t.push_row([mix.id.clone(), kind.to_string(), f1(freq_ghz), f3(m.normalized_time(&reference))]);
         }
     }
     t
@@ -274,9 +403,9 @@ pub fn fig5_14(scale: Scale) -> Table {
         "Normalized running time averaged over all workloads on the PE1950 with different AMB TDPs",
         &["AMB TDP degC", "policy", "avg normalized time"],
     );
-    for tdp in [88.0, 90.0, 92.0] {
-        let server = Server::pe1950().with_amb_tdp(tdp);
-        let runs = policy_runs(scale, server, &ch5_mixes(scale));
+    let tdps = [88.0, 90.0, 92.0];
+    let servers: Vec<Server> = tdps.iter().map(|&tdp| Server::pe1950().with_amb_tdp(tdp)).collect();
+    for (tdp, runs) in tdps.into_iter().zip(policy_runs(scale, &servers, &ch5_mixes(scale))) {
         for kind in PolicyKind::ALL {
             let policy = kind.to_string();
             let values: Vec<f64> = runs
@@ -325,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "runs smoke-scale platform simulations (~seconds in release); exercised by the Criterion benches"]
+    #[cfg_attr(debug_assertions, ignore = "runs smoke-scale platform simulations; run with --release")]
     fn fig5_6_smoke_has_rows_for_both_servers() {
         let t = fig5_6(Scale::Smoke);
         assert!(t.rows.iter().any(|r| r[0] == "PE1950"));

@@ -9,19 +9,21 @@
 //! The figure drivers keep that reuse across figure boundaries:
 //!
 //! * [`shared_store`] is the one level-1 [`CharStore`] of the process. Every
-//!   figure driver runs its cells against it (through `shared_runner` or
-//!   `PlatformExperiment::with_store`), so a design point that one figure
-//!   characterized is a hit for every later figure. The store is keyed by
+//!   figure driver runs its cells against it (through `shared_runner`), so
+//!   a design point that one figure characterized is a hit for every later
+//!   figure. The store is keyed by
 //!   [`CharStoreKey`] — mix, quantized running mode, budget, memory geometry
 //!   and a hardware fingerprint — which holds everything the closed-loop
 //!   level-1 run reads, and nothing (cooling, policy, limits) it does not.
 //! * A `Memo` caches whole level-2 results. Chapter 4 memoizes each
-//!   `run_matrix` call and Chapter 5 each `policy_runs` call, keyed by a
-//!   typed value holding every input of the call (scale, full cooling
-//!   configuration or server, model flags, float parameters as bits,
-//!   policies, stack, mixes). A figure that repeats another figure's
-//!   matrix — Figures 4.3/4.4/4.9/4.10, 4.13/4.14, 5.6/5.8–5.11 — reads
-//!   the results instead of simulating them again.
+//!   `run_matrix` call, keyed by a typed value holding every input of the
+//!   call (scale, full cooling configuration, model flags, float
+//!   parameters as bits, policies, stack). Chapter 5 memoizes each single
+//!   run, keyed by scale, server, mix, policy and trace flag; a figure
+//!   asks for all of its runs at once and simulates its misses in one
+//!   sweep dispatch. A figure that repeats another figure's matrix or runs
+//!   — Figures 4.3/4.4/4.9/4.10, 4.13/4.14, 5.6/5.8–5.11, 5.13 and 5.14 —
+//!   reads the results instead of simulating them again.
 //!
 //! Both live for exactly one process and are never written to disk. They
 //! cannot change a table: level-1 points and level-2 runs are deterministic
@@ -43,7 +45,7 @@ pub fn shared_store() -> Arc<CharStore> {
 }
 
 /// A [`SweepRunner`] on all cores whose cells run against [`shared_store`]:
-/// the runner every Chapter 4 figure driver uses.
+/// the runner every figure driver uses.
 pub(crate) fn shared_runner() -> SweepRunner {
     SweepRunner::new().with_char_store(shared_store())
 }
@@ -52,38 +54,81 @@ pub(crate) fn shared_runner() -> SweepRunner {
 /// once and then shared as an `Arc`.
 ///
 /// Keys are typed values compared with `PartialEq`, and a figure run holds a
-/// few dozen of them at most, so lookup is a linear scan. Concurrent first
-/// requests for one key are collapsed: one caller computes while the others
-/// wait for its result, as in [`CharStore`].
+/// few hundred of them at most, so lookup is a linear scan. Concurrent first
+/// requests for one key are collapsed: the caller that adds the entry
+/// computes it while the others wait for its result, as in [`CharStore`].
 #[derive(Debug)]
 pub(crate) struct Memo<K, V> {
     entries: Mutex<Vec<(K, Slot<V>)>>,
 }
 
-/// One memo entry's value: set once by whichever caller computes it.
-type Slot<V> = Arc<OnceLock<Arc<V>>>;
+/// One memo entry's value: `None` until the caller that added the entry
+/// fills it, which it does while holding the slot's lock.
+type Slot<V> = Arc<Mutex<Option<Arc<V>>>>;
 
-impl<K: PartialEq, V> Memo<K, V> {
+impl<K, V> Memo<K, V> {
     /// An empty memo (usable in a `static`).
     pub(crate) const fn new() -> Self {
         Memo { entries: Mutex::new(Vec::new()) }
     }
+}
 
+impl<K: PartialEq + Clone, V> Memo<K, V> {
     /// Returns the value for `key`, running `compute` if no value is stored
     /// for it yet. The memo's lock is not held while `compute` runs.
     pub(crate) fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-        let cell = {
-            let mut entries = self.entries.lock().expect("memo lock poisoned");
-            match entries.iter().find(|(k, _)| *k == key) {
-                Some((_, cell)) => Arc::clone(cell),
+        let mut compute = Some(compute);
+        let mut values = self
+            .get_or_compute_all(vec![key], |_| vec![compute.take().expect("a single key is computed at most once")()]);
+        values.pop().expect("one value per key")
+    }
+
+    /// Returns the values for `keys`, in order. Every key without an entry
+    /// is computed by one call of `compute`, which receives those keys in
+    /// order and returns one value per key; a figure driver thus starts one
+    /// batch of work for all of its misses. Keys another caller is still
+    /// computing are waited for. The memo's lock is not held while
+    /// `compute` runs.
+    pub(crate) fn get_or_compute_all(&self, keys: Vec<K>, mut compute: impl FnMut(&[&K]) -> Vec<V>) -> Vec<Arc<V>> {
+        let mut entries = self.entries.lock().expect("memo lock poisoned");
+        let mut added = Vec::new();
+        let slots: Vec<Slot<V>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| match entries.iter().find(|(k, _)| k == key) {
+                Some((_, slot)) => Arc::clone(slot),
                 None => {
-                    let cell = Arc::new(OnceLock::new());
-                    entries.push((key, Arc::clone(&cell)));
-                    cell
+                    let slot = Slot::default();
+                    entries.push((key.clone(), Arc::clone(&slot)));
+                    added.push(i);
+                    slot
                 }
+            })
+            .collect();
+        // Lock the new slots before any other caller can find them, so
+        // callers that need them block until they are filled.
+        let mut filling: Vec<_> = added.iter().map(|&i| slots[i].lock().expect("a new slot is unlocked")).collect();
+        drop(entries);
+        if !added.is_empty() {
+            let values = compute(&added.iter().map(|&i| &keys[i]).collect::<Vec<_>>());
+            assert_eq!(values.len(), added.len(), "compute must return one value per key");
+            for (slot, value) in filling.iter_mut().zip(values) {
+                **slot = Some(Arc::new(value));
             }
-        };
-        Arc::clone(cell.get_or_init(|| Arc::new(compute())))
+        }
+        drop(filling);
+        slots
+            .iter()
+            .zip(&keys)
+            .map(|(slot, key)| {
+                // A slot left empty (its computing caller panicked) is
+                // computed here instead.
+                let mut value = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                Arc::clone(value.get_or_insert_with(|| {
+                    Arc::new(compute(&[key]).pop().expect("compute must return one value per key"))
+                }))
+            })
+            .collect()
     }
 }
 
@@ -96,7 +141,7 @@ impl<K: PartialEq, V> Memo<K, V> {
 /// reasonable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Smallest runs, used by the Criterion benches and CI.
+    /// Smallest runs, used by the benches, the golden tests and CI.
     Smoke,
     /// Default for the `paper` binary: minutes per figure.
     Quick,
@@ -416,6 +461,35 @@ mod tests {
         let again = memo.get_or_compute(key, || unreachable!("a stored key is never recomputed"));
         assert!(Arc::ptr_eq(&first, &again), "hits share one allocation");
         assert_eq!(*memo.get_or_compute((1, 2.0f64.to_bits()), || 7), 7, "a different key is a different entry");
+    }
+
+    #[test]
+    fn memo_computes_all_misses_of_a_request_in_one_call() {
+        let memo: Memo<u32, u32> = Memo::new();
+        let mut batches: Vec<Vec<u32>> = Vec::new();
+        let mut square = |keys: &[&u32]| {
+            batches.push(keys.iter().map(|&&k| k).collect());
+            keys.iter().map(|&&k| k * k).collect()
+        };
+        let first = memo.get_or_compute_all(vec![2, 3], &mut square);
+        // 3 is a hit, 4 and 5 are misses, and the repeated 4 is one entry.
+        let second = memo.get_or_compute_all(vec![3, 4, 5, 4], &mut square);
+        assert_eq!(batches, vec![vec![2, 3], vec![4, 5]], "one call per request, misses only");
+        assert_eq!(first.iter().map(|v| **v).collect::<Vec<_>>(), vec![4, 9]);
+        assert_eq!(second.iter().map(|v| **v).collect::<Vec<_>>(), vec![9, 16, 25, 16]);
+        assert!(Arc::ptr_eq(&first[1], &second[0]) && Arc::ptr_eq(&second[1], &second[3]));
+        assert_eq!(*memo.get_or_compute(5, || unreachable!("a stored key is never recomputed")), 25);
+    }
+
+    #[test]
+    fn a_memo_entry_whose_computation_panicked_is_computed_by_the_next_caller() {
+        let memo: Memo<u32, u32> = Memo::new();
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.get_or_compute_all(vec![1, 2], |_| panic!("simulated failure"))
+        }));
+        assert!(failed.is_err());
+        let values = memo.get_or_compute_all(vec![1, 2], |keys| keys.iter().map(|&&k| k + 10).collect());
+        assert_eq!(values.iter().map(|v| **v).collect::<Vec<_>>(), vec![11, 12]);
     }
 
     #[test]

@@ -6,18 +6,18 @@
 //!
 //! Every experiment is a plain function that returns a [`harness::Table`];
 //! the `paper` binary prints the requested experiment (or all of them) and
-//! optionally dumps the rows as JSON. Criterion benches in `benches/` call
-//! the same functions at smoke scale so `cargo bench` exercises every
-//! experiment end to end.
+//! optionally dumps the rows as JSON. The `harness = false` benches in
+//! `benches/` time the same code with [`harness::bench_case`].
 //!
-//! All figure drivers run on one execution path. Chapter 4 cells go through
-//! the [`sweep::SweepRunner`] and its batched engine; Chapter 5 runs go
-//! through `platform_emu::PlatformExperiment`. Both draw level-1 points from
-//! the process-wide [`harness::shared_store`], and whole `run_matrix` /
-//! `policy_runs` results are kept in process-wide memos keyed by every
-//! input of the call. A process that renders many figures therefore
-//! characterizes each design point once and simulates each distinct matrix
-//! once. The store and the memos live only as long as the process and hold
+//! All figure drivers run on one execution path: their level-2 runs are
+//! cells of the [`sweep::SweepRunner`], executed by its batched engine.
+//! Chapter 4 drivers hand the runner scenarios; Chapter 5 drivers hand it
+//! resolved cells on the servers' hardware ([`sweep::SweepRunner::dispatch`]).
+//! Every cell draws level-1 points from the process-wide
+//! [`harness::shared_store`], and whole `run_matrix` results and single
+//! Chapter 5 runs are kept in process-wide memos keyed by every input. A
+//! process that renders many figures therefore characterizes each design
+//! point once and simulates each distinct matrix or run once. The store and the memos live only as long as the process and hold
 //! only deterministic results, so a table is the same whether its figure
 //! runs first, last or twice (`tests/paper_smoke_golden.rs` checks this
 //! against the pinned smoke tables).

@@ -1,10 +1,20 @@
 //! Parallel scenario sweep engine.
 //!
 //! A paper-style evaluation is a grid of {cooling configuration × thermal
-//! model × device stack × workload mix × DTM scheme} MEMSpot runs. Since the expensive
-//! level-1 characterizations live in a process-wide
+//! model × device stack × workload mix × DTM scheme} MEMSpot runs.
+//!
+//! The runner works in two steps. First, scenarios are resolved into fully
+//! specified [`SweepCell`]s: hardware `(CpuConfig, FbdimmConfig)`, MEMSpot
+//! configuration, mix and a fresh policy ([`SweepScenario::resolve`]).
+//! Then one dispatcher runs the cells ([`SweepRunner::dispatch`]).
+//! [`SweepRunner::run`] is the two steps in a row. Figure drivers whose
+//! cells a scenario cannot express hand the dispatcher their own cells:
+//! Chapter 5 runs both servers' hardware in one dispatch, and Figure 4.11
+//! runs its four DTM intervals as one grid.
+//!
+//! Since the expensive level-1 characterizations live in a process-wide
 //! [`CharStore`](memtherm::sim::characterize::CharStore) — keyed by (mix,
-//! mode, budget, geometry), *not* by cooling or policy — every grid cell is
+//! mode, budget, geometry, hardware), *not* by cooling or policy — every grid cell is
 //! fully independent: [`SweepRunner`] therefore parallelizes at **cell**
 //! granularity (one {cooling, model, mix, policy} run per unit of work).
 //! Workers claim contiguous *chunks* of cells through a shared atomic
@@ -20,13 +30,14 @@
 //! in-flight computation instead of duplicating it.
 //!
 //! The store lives as long as the runner's caller wants. By default each
-//! [`SweepRunner::run`] starts a fresh in-memory store; with
+//! dispatch starts a fresh in-memory store; with
 //! [`SweepRunner::with_char_store`] the caller injects one that outlives the
 //! sweep. The figure drivers inject the process-wide
 //! [`shared_store`](crate::harness::shared_store), so successive figures
-//! (and successive sweeps of one figure, such as Figure 4.11's one sweep
-//! per DTM interval) reuse each other's level-1 points; a
-//! [`CharStore::with_disk_cache`] store extends that across processes.
+//! reuse each other's level-1 points; a [`CharStore::with_disk_cache`]
+//! store extends that across processes. The store key carries a hardware
+//! fingerprint, so cells of different servers share a store without
+//! aliasing.
 //!
 //! Results come back in deterministic grid order regardless of which worker
 //! finished first, and — because level-1 runs are deterministic functions of
@@ -38,8 +49,9 @@
 //! Within each claimed chunk the runner picks an execution tier
 //! ([`SweepExecution`]): the per-cell [`MemSpot`] engine, or (the default)
 //! the batched lockstep engine
-//! ([`BatchedSimEngine`](memtherm::sim::batch::BatchedSimEngine)) which
-//! steps the whole chunk's scenes through shared lane matrices —
+//! ([`BatchedSimEngine`](memtherm::sim::batch::BatchedSimEngine), one per
+//! distinct hardware in the chunk) which steps the chunk's scenes through
+//! shared lane matrices —
 //! optionally fanning the lanes across worker threads
 //! ([`SweepExecution::lane_parallel`]) — and fast-forwards cells
 //! analytically, both at a thermal steady state and through verified
@@ -49,11 +61,12 @@
 //! or chunk configuration.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cpu_model::CpuConfig;
 use fbdimm_sim::FbdimmConfig;
+use memtherm::dtm::policy::DtmPolicy;
 use memtherm::prelude::*;
 use workloads::WorkloadMix;
 
@@ -117,6 +130,50 @@ impl SweepScenario {
     pub fn cells(&self) -> usize {
         self.specs.len()
     }
+
+    /// Resolves the scenario into its cells, one per policy in order, on
+    /// the paper's processor and memory. `make_config` maps the cooling
+    /// configuration to the base MEMSpot configuration; the scenario's
+    /// stack, thermal-model and cadence overrides are applied on top.
+    pub fn resolve(&self, make_config: impl Fn(CoolingConfig) -> MemSpotConfig) -> Vec<SweepCell> {
+        let cpu = CpuConfig::paper_quad_core();
+        let mem = FbdimmConfig::ddr2_667_paper();
+        let config = scenario_config(self, &make_config);
+        self.specs
+            .iter()
+            .map(|spec| SweepCell {
+                policy: spec.build(&cpu, config.limits),
+                cpu: cpu.clone(),
+                mem,
+                config,
+                mix: self.mix.clone(),
+            })
+            .collect()
+    }
+}
+
+/// One fully specified unit of sweep work: the hardware it runs on, its
+/// MEMSpot configuration, the workload mix and the DTM policy that decides
+/// each interval.
+///
+/// [`SweepRunner::run`] resolves scenarios into cells
+/// ([`SweepScenario::resolve`]). Drivers whose cells differ in more than a
+/// scenario can express (another server's hardware, per-cell DTM intervals,
+/// policies built outside [`PolicySpec`]) build cells themselves and hand
+/// them to [`SweepRunner::dispatch`]. The cell's run is labelled with its
+/// configuration's cooling, its mix and its policy's name.
+#[derive(Debug)]
+pub struct SweepCell {
+    /// Processor configuration.
+    pub cpu: CpuConfig,
+    /// Memory subsystem configuration.
+    pub mem: FbdimmConfig,
+    /// Run configuration (cooling, limits, cadences, batch size, …).
+    pub config: MemSpotConfig,
+    /// The workload mix to run.
+    pub mix: WorkloadMix,
+    /// The DTM policy, fresh (it is run once, from its initial state).
+    pub policy: Box<dyn DtmPolicy>,
 }
 
 /// How the runner executes the grid's cells.
@@ -219,13 +276,6 @@ pub struct SweepRunner {
     batch_options: BatchOptions,
 }
 
-/// One unit of sweep work: a single {scenario, policy} grid cell.
-#[derive(Debug, Clone, Copy)]
-struct SweepCell<'a> {
-    scenario: &'a SweepScenario,
-    spec: &'a PolicySpec,
-}
-
 impl SweepRunner {
     /// A runner using all available cores.
     pub fn new() -> Self {
@@ -285,15 +335,22 @@ impl SweepRunner {
     ///
     /// `make_config` maps a scenario's cooling configuration to the MEMSpot
     /// configuration to run it under (typically `scale.memspot_config`);
-    /// the scenario's thermal-model fields are applied on top.
+    /// the scenario's thermal-model fields are applied on top. This is
+    /// [`SweepScenario::resolve`] followed by one [`SweepRunner::dispatch`].
     pub fn run(
         &self,
         scenarios: &[SweepScenario],
         make_config: impl Fn(CoolingConfig) -> MemSpotConfig + Sync,
     ) -> SweepOutcome {
+        self.dispatch(scenarios.iter().flat_map(|scenario| scenario.resolve(&make_config)).collect())
+    }
+
+    /// Runs fully specified cells and returns their results in input order,
+    /// plus the dispatch's timing and store statistics. Cells may differ in
+    /// anything: hardware, configuration, mix and policy. Chunks that mix
+    /// hardware run one batched engine per distinct `(cpu, mem)` pair.
+    pub fn dispatch(&self, cells: Vec<SweepCell>) -> SweepOutcome {
         let start = Instant::now();
-        let cpu = CpuConfig::paper_quad_core();
-        let mem = FbdimmConfig::ddr2_667_paper();
         let store = self.store.clone().unwrap_or_else(|| Arc::new(CharStore::new()));
         // With an injected (possibly disk-backed, long-lived) store the
         // counters are cumulative; report this sweep's share as deltas.
@@ -302,31 +359,28 @@ impl SweepRunner {
         // Pre-warm: every cell's window loop starts from its mix's
         // full-speed design point, so without this step the first cells of a
         // mix pile up on one in-flight store computation. Characterizing the
-        // distinct (mix, budget) full-speed points in parallel up front
-        // turns that head-of-line blocking into parallel level-1 work.
-        let mut warm: Vec<(&SweepScenario, u64)> = Vec::new();
-        for scenario in scenarios {
-            let budget = make_config(scenario.cooling).characterization_budget;
-            if !warm.iter().any(|(s, b)| s.mix.id == scenario.mix.id && *b == budget) {
-                warm.push((scenario, budget));
+        // distinct (hardware, mix, budget) full-speed points in parallel up
+        // front turns that head-of-line blocking into parallel level-1 work.
+        let mut warm: Vec<(&CpuConfig, FbdimmConfig, &WorkloadMix, u64)> = Vec::new();
+        for cell in &cells {
+            let point = (&cell.cpu, cell.mem, &cell.mix, cell.config.characterization_budget);
+            if !warm.iter().any(|w| w.2.id == point.2.id && w.3 == point.3 && w.1 == point.1 && w.0 == point.0) {
+                warm.push(point);
             }
         }
-        parallel_map(self.threads, &warm, |(scenario, budget)| {
+        parallel_map(self.threads, &warm, |&(cpu, mem, mix, budget)| {
             let mut table = CharacterizationTable::with_store(
                 cpu.clone(),
                 mem,
-                scenario.mix.id.clone(),
-                scenario.mix.apps.clone(),
-                *budget,
+                mix.id.clone(),
+                mix.apps.clone(),
+                budget,
                 Arc::clone(&store),
             );
-            table.point(&RunningMode::full_speed(&cpu));
+            table.point(&RunningMode::full_speed(cpu));
         });
 
-        let cells: Vec<SweepCell> = scenarios
-            .iter()
-            .flat_map(|scenario| scenario.specs.iter().map(move |spec| SweepCell { scenario, spec }))
-            .collect();
+        let n = cells.len();
         // Small grids claim one cell at a time — cell runtimes vary by tens
         // of percent across policies/mixes, and a multi-cell claim at the
         // tail strands one worker with two heavy cells. Grids ≫ cores
@@ -338,10 +392,10 @@ impl SweepRunner {
                 // ≥ ~8 claims per worker; small grids degenerate to
                 // one-cell claims — see the chunk-size comment at the top
                 // of the module.
-                let chunk = (cells.len() / (self.threads * 8)).max(1);
-                parallel_map_chunked(self.threads, chunk, &cells, |cell| {
+                let chunk = (n / (self.threads * 8)).max(1);
+                parallel_map_owned(self.threads, chunk, cells, |cell| {
                     let cell_start = Instant::now();
-                    let run = run_cell(cell, &cpu, mem, &make_config, &store);
+                    let run = run_cell(cell, &store);
                     (run, cell_start.elapsed().as_secs_f64(), CellRunStats::default())
                 })
             }
@@ -352,23 +406,11 @@ impl SweepRunner {
                 // across `lane_workers` threads. One batch maximizes lane
                 // width — the wider the lane, the longer the vectorized RC
                 // row sweeps.
-                let power = FbdimmPowerModel::paper_defaults();
-                let cpu_power = PaperCpuPower::new();
                 let grid_start = Instant::now();
-                let runs = run_chunk_batched(
-                    &cells,
-                    &cpu,
-                    mem,
-                    &power,
-                    &cpu_power,
-                    &make_config,
-                    &store,
-                    &self.batch_options,
-                    lane_workers,
-                );
+                let runs = run_chunk_batched(cells, &store, &self.batch_options, lane_workers);
                 // Lockstep stepping interleaves every cell, so per-cell
                 // wall-clock is reported as the grid average.
-                let secs = grid_start.elapsed().as_secs_f64() / cells.len().max(1) as f64;
+                let secs = grid_start.elapsed().as_secs_f64() / n.max(1) as f64;
                 runs.into_iter().map(|(run, stats)| (run, secs, stats)).collect()
             }
             SweepExecution::Batched { .. } => {
@@ -381,25 +423,14 @@ impl SweepRunner {
                 // later chunks shrink with the remaining queue — the tail
                 // then drains cell-by-cell instead of idling workers behind
                 // one slow multi-cell chunk.
-                let power = FbdimmPowerModel::paper_defaults();
-                let cpu_power = PaperCpuPower::new();
-                let chunks: Vec<&[SweepCell]> = guided_partition(&cells, self.threads);
-                let per_chunk = parallel_map(self.threads, &chunks, |batch| {
+                let chunks = guided_partition(cells, self.threads);
+                let per_chunk = parallel_map_owned(self.threads, 1, chunks, |batch| {
                     let chunk_start = Instant::now();
-                    let runs = run_chunk_batched(
-                        batch,
-                        &cpu,
-                        mem,
-                        &power,
-                        &cpu_power,
-                        &make_config,
-                        &store,
-                        &self.batch_options,
-                        1,
-                    );
+                    let cells_in_chunk = batch.len();
+                    let runs = run_chunk_batched(batch, &store, &self.batch_options, 1);
                     // Lockstep stepping interleaves the chunk's cells, so
                     // per-cell wall-clock is reported as the chunk average.
-                    let secs = chunk_start.elapsed().as_secs_f64() / batch.len().max(1) as f64;
+                    let secs = chunk_start.elapsed().as_secs_f64() / cells_in_chunk.max(1) as f64;
                     (runs, secs)
                 });
                 per_chunk
@@ -451,9 +482,7 @@ impl SweepRunner {
 
 /// Order-preserving parallel map over a slice: `threads` scoped workers
 /// claim items through a shared atomic index and the results are reassembled
-/// in input order. The building block of [`SweepRunner`], also used directly
-/// by experiment drivers whose unit of work is not a `MemSpot` grid cell
-/// (e.g. the Chapter 5 platform runs).
+/// in input order. The building block of [`SweepRunner`].
 pub fn parallel_map<T: Sync, R: Send>(threads: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     parallel_map_chunked(threads, 1, items, f)
 }
@@ -472,16 +501,30 @@ fn guided_claim(remaining: usize, workers: usize, max_chunk: usize) -> usize {
 /// guided claim would produce: the first chunks are as wide as the old
 /// fixed partition (≈ 2 claims per worker) and later chunks shrink toward
 /// single items as the remaining queue drains.
-fn guided_partition<T>(items: &[T], workers: usize) -> Vec<&[T]> {
+fn guided_partition<T>(items: Vec<T>, workers: usize) -> Vec<Vec<T>> {
     let mut chunks = Vec::new();
-    let mut rest = items;
-    while !rest.is_empty() {
-        let take = guided_claim(rest.len(), workers, rest.len());
-        let (head, tail) = rest.split_at(take);
-        chunks.push(head);
-        rest = tail;
+    let mut rest = items.into_iter();
+    let mut remaining = rest.len();
+    while remaining > 0 {
+        let take = guided_claim(remaining, workers, remaining);
+        chunks.push(rest.by_ref().take(take).collect());
+        remaining -= take;
     }
     chunks
+}
+
+/// [`parallel_map_chunked`] over owned items: each item is moved into
+/// exactly one call of `f`.
+fn parallel_map_owned<T: Send, R: Send>(
+    threads: usize,
+    chunk: usize,
+    items: Vec<T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|item| Mutex::new(Some(item))).collect();
+    parallel_map_chunked(threads, chunk, &slots, |slot| {
+        f(slot.lock().expect("sweep slot poisoned").take().expect("every item is claimed once"))
+    })
 }
 
 /// [`parallel_map`] with a chunked work queue: each cursor claim takes the
@@ -556,10 +599,7 @@ impl Default for SweepRunner {
 /// The MEMSpot configuration a scenario's cells run under: the scale's base
 /// config with the scenario's stack, thermal-model and cadence overrides
 /// applied on top.
-fn scenario_config(
-    scenario: &SweepScenario,
-    make_config: &(impl Fn(CoolingConfig) -> MemSpotConfig + Sync),
-) -> MemSpotConfig {
+fn scenario_config(scenario: &SweepScenario, make_config: &impl Fn(CoolingConfig) -> MemSpotConfig) -> MemSpotConfig {
     let mut cfg = make_config(scenario.cooling).with_stack(scenario.stack);
     if scenario.integrated {
         cfg = cfg.with_integrated(scenario.interaction_degree);
@@ -571,62 +611,65 @@ fn scenario_config(
     cfg
 }
 
-fn run_cell(
-    cell: &SweepCell,
-    cpu: &CpuConfig,
-    mem: FbdimmConfig,
-    make_config: &(impl Fn(CoolingConfig) -> MemSpotConfig + Sync),
-    store: &Arc<CharStore>,
-) -> MatrixRun {
-    let scenario = cell.scenario;
-    let cfg = scenario_config(scenario, make_config);
-    let limits = cfg.limits;
-    let mut spot = MemSpot::with_store(cpu.clone(), mem, cfg, Arc::clone(store));
+fn run_cell(cell: SweepCell, store: &Arc<CharStore>) -> MatrixRun {
+    let SweepCell { cpu, mem, config, mix, mut policy } = cell;
+    let mut spot = MemSpot::with_store(cpu, mem, config, Arc::clone(store));
     // The sweep already runs one cell per core; rotation-averaged level-1
     // points must not fan out further (results are identical either way).
     spot.set_level1_rotation_threads(1);
-    let mut policy = cell.spec.build(cpu, limits);
-    let result = spot.run(&scenario.mix, policy.as_mut());
-    MatrixRun { cooling: scenario.cooling.label(), workload: scenario.mix.id.clone(), policy: policy.name(), result }
+    let result = spot.run(&mix, policy.as_mut());
+    MatrixRun { cooling: config.cooling.label(), workload: mix.id, policy: policy.name(), result }
 }
 
-/// Runs one claimed chunk of cells through a single [`BatchedSimEngine`]:
-/// the chunk's scenes are grouped into lockstep lanes and cells that reach
-/// a steady state fast-forward (per `options`). With `lane_workers > 1`
-/// the engine fans the lanes across that many threads; results are
+/// Runs one claimed chunk of cells through batched engines, one
+/// [`BatchedSimEngine`] per distinct hardware `(cpu, mem)` in the chunk:
+/// each engine groups its cells into lockstep lanes, and cells that reach a
+/// steady state fast-forward (per `options`). With `lane_workers > 1` each
+/// engine fans its lanes across that many threads; results are
 /// bit-identical either way. Results come back in chunk order, one per
 /// cell, each with its execution counters.
-#[allow(clippy::too_many_arguments)]
 fn run_chunk_batched(
-    chunk: &[SweepCell],
-    cpu: &CpuConfig,
-    mem: FbdimmConfig,
-    power: &FbdimmPowerModel,
-    cpu_power: &PaperCpuPower,
-    make_config: &(impl Fn(CoolingConfig) -> MemSpotConfig + Sync),
+    chunk: Vec<SweepCell>,
     store: &Arc<CharStore>,
     options: &BatchOptions,
     lane_workers: usize,
 ) -> Vec<(MatrixRun, CellRunStats)> {
-    let mut batch = Vec::with_capacity(chunk.len());
+    let power = FbdimmPowerModel::paper_defaults();
+    let cpu_power = PaperCpuPower::new();
     let mut labels = Vec::with_capacity(chunk.len());
-    for cell in chunk {
-        let scenario = cell.scenario;
-        let cfg = scenario_config(scenario, make_config);
-        let policy = cell.spec.build(cpu, cfg.limits);
-        labels.push((scenario.cooling.label(), scenario.mix.id.clone(), policy.name()));
-        batch.push(
-            BatchCell::new(cpu, &mem, cfg, scenario.mix.clone(), policy, Arc::clone(store))
+    // (hardware, chunk positions, batch) per distinct hardware, in order of
+    // first appearance.
+    let mut groups: Vec<(CpuConfig, FbdimmConfig, Vec<usize>, Vec<BatchCell>)> = Vec::new();
+    for (position, cell) in chunk.into_iter().enumerate() {
+        labels.push((cell.config.cooling.label(), cell.mix.id.clone(), cell.policy.name()));
+        let group = match groups.iter().position(|g| g.1 == cell.mem && g.0 == cell.cpu) {
+            Some(group) => group,
+            None => {
+                groups.push((cell.cpu.clone(), cell.mem, Vec::new(), Vec::new()));
+                groups.len() - 1
+            }
+        };
+        groups[group].2.push(position);
+        groups[group].3.push(
+            BatchCell::new(&cell.cpu, &cell.mem, cell.config, cell.mix, cell.policy, Arc::clone(store))
                 // One cell per worker already; see `run_cell`.
                 .with_rotation_threads(1),
         );
     }
-    let engine = BatchedSimEngine::new(cpu, &mem, power, cpu_power);
-    engine
-        .run_with_workers(batch, options, lane_workers)
+    let mut results: Vec<Option<(MemSpotResult, CellRunStats)>> = labels.iter().map(|_| None).collect();
+    for (cpu, mem, positions, batch) in groups {
+        let engine = BatchedSimEngine::new(&cpu, &mem, &power, &cpu_power);
+        for (position, out) in positions.into_iter().zip(engine.run_with_workers(batch, options, lane_workers)) {
+            results[position] = Some(out);
+        }
+    }
+    results
         .into_iter()
         .zip(labels)
-        .map(|((result, stats), (cooling, workload, policy))| (MatrixRun { cooling, workload, policy, result }, stats))
+        .map(|(out, (cooling, workload, policy))| {
+            let (result, stats) = out.expect("every cell runs once");
+            (MatrixRun { cooling, workload, policy, result }, stats)
+        })
         .collect()
 }
 
@@ -762,7 +805,7 @@ mod tests {
     fn guided_partition_is_ordered_nonempty_and_non_increasing() {
         for n in [1usize, 2, 7, 37, 100] {
             let items: Vec<usize> = (0..n).collect();
-            let chunks = guided_partition(&items, 4);
+            let chunks = guided_partition(items.clone(), 4);
             let flat: Vec<usize> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
             assert_eq!(flat, items, "partition of {n} drops or reorders items");
             assert!(chunks.iter().all(|c| !c.is_empty()));
@@ -775,7 +818,7 @@ mod tests {
             // The tail drains in single items.
             assert_eq!(chunks.last().unwrap().len(), 1);
         }
-        assert!(guided_partition::<usize>(&[], 4).is_empty());
+        assert!(guided_partition::<usize>(Vec::new(), 4).is_empty());
     }
 
     #[test]

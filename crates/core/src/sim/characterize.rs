@@ -332,6 +332,12 @@ impl CharStore {
         self.disk.as_ref().map(DiskCache::path)
     }
 
+    /// Number of computed points the disk cache failed to persist (always 0
+    /// without a disk cache). Such points are still served from memory.
+    pub fn disk_write_failures(&self) -> u64 {
+        self.disk.as_ref().map_or(0, DiskCache::write_failures)
+    }
+
     /// Returns the point for `key`, running `compute` (at most once per key
     /// process-wide) if it is not stored yet. Freshly computed points are
     /// appended to the disk cache, when one is attached.
@@ -1136,6 +1142,32 @@ mod tests {
         }
         assert_eq!(store2.misses(), 0, "a warm disk cache serves every lookup");
         assert_eq!(store2.hits(), 3);
+        remove_cache_files(&path);
+    }
+
+    #[test]
+    fn disk_write_failures_are_counted_and_points_are_still_served() {
+        use crate::sim::diskcache::{shard_path, DISK_SHARDS};
+        assert_eq!(CharStore::new().disk_write_failures(), 0, "a memory-only store has no disk to fail");
+        let path = temp_cache_path("unwritable");
+        let (store, mut table) = disk_table(&path);
+        // A shard path that is a directory cannot be opened as a file, not
+        // even by a privileged user.
+        for shard in 0..DISK_SHARDS {
+            std::fs::create_dir(shard_path(&path, shard)).expect("create blocking directory");
+        }
+        let cpu = CpuConfig::paper_quad_core();
+        let full = RunningMode::full_speed(&cpu);
+        let point = table.point(&full);
+        assert_eq!(store.misses(), 1);
+        assert_eq!(store.disk_write_failures(), 1, "the failed append is counted");
+        assert_eq!(*table.point(&full), *point, "the point is served from memory");
+        table.point(&full.with_active_cores(2));
+        assert_eq!(store.disk_write_failures(), 2, "the next append retries the open and fails again");
+        assert_eq!(store.len(), 2);
+        for shard in 0..DISK_SHARDS {
+            std::fs::remove_dir(shard_path(&path, shard)).expect("remove blocking directory");
+        }
         remove_cache_files(&path);
     }
 

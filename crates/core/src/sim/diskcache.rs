@@ -70,6 +70,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -133,6 +134,8 @@ pub struct DiskCache {
     /// data itself.
     path: PathBuf,
     shards: Vec<DiskShard>,
+    /// Appends that failed to reach the disk (see [`DiskCache::append`]).
+    write_failures: AtomicU64,
 }
 
 /// Held advisory lock: the `.lock` file exists while the guard lives and is
@@ -250,7 +253,7 @@ impl DiskCache {
             entries.extend(shard_entries);
             shards.push(DiskShard { path: spath, lock_path, writer: Mutex::new((None, must_reset)) });
         }
-        Ok((DiskCache { path: base, shards }, entries))
+        Ok((DiskCache { path: base, shards, write_failures: AtomicU64::new(0) }, entries))
     }
 
     /// The base path the cache's shard files derive from.
@@ -259,11 +262,21 @@ impl DiskCache {
     }
 
     /// Appends one computed entry to its shard file (see [`shard_index`]).
-    /// I/O failures are swallowed: the disk cache is an accelerator, and a
-    /// read-only or full filesystem must not break the simulation that
-    /// produced the point.
+    /// An I/O failure does not fail the call: the disk cache is an
+    /// accelerator, and a read-only or full filesystem must not break the
+    /// simulation that produced the point. Each failed append is counted
+    /// instead ([`DiskCache::write_failures`]); the entry then lives in
+    /// memory only, and a failed shard open is retried by the next append.
     pub fn append(&self, key: &CharStoreKey, point: &CharPoint) {
-        self.shards[shard_index(key)].append(key, point);
+        if self.shards[shard_index(key)].append(key, point).is_err() {
+            self.write_failures.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Number of appends that failed to reach the disk since the cache was
+    /// opened.
+    pub fn write_failures(&self) -> u64 {
+        self.write_failures.load(Ordering::Relaxed)
     }
 }
 
@@ -335,13 +348,15 @@ impl DiskShard {
     /// around the write (and around the lazy header initialization, so two
     /// processes racing to create the shard file cannot clobber each
     /// other's entries).
-    fn append(&self, key: &CharStoreKey, point: &CharPoint) {
+    fn append(&self, key: &CharStoreKey, point: &CharPoint) -> std::io::Result<()> {
         let line = serialize_entry(key, point);
         let mut writer = self.writer.lock().expect("disk cache writer poisoned");
         // Degrading to an unlocked append on timeout is deliberate (see the
         // module docs): a wedged lock must not stall the simulation.
         let _lock = acquire_path_lock(&self.lock_path);
         if writer.0.is_none() {
+            // Every early error return leaves the handle unopened and the
+            // reset scheduled, so a later append retries from here.
             let mut truncate = writer.1;
             if truncate {
                 // The file was missing or invalid when *we* loaded, but
@@ -357,28 +372,17 @@ impl DiskShard {
                 // Rewrite the header through a scoped handle; the persistent
                 // handle below is opened in append mode so a concurrent
                 // process's lines can never be overwritten at a stale offset.
-                let rewritten = OpenOptions::new()
+                OpenOptions::new()
                     .create(true)
                     .write(true)
                     .truncate(true)
                     .open(&self.path)
-                    .and_then(|mut f| f.write_all(header_line().as_bytes()));
-                if rewritten.is_err() {
-                    // The reset stays scheduled: a later append retries.
-                    return;
-                }
+                    .and_then(|mut f| f.write_all(header_line().as_bytes()))?;
             }
-            let file = OpenOptions::new().create(true).read(true).append(true).open(&self.path);
-            let mut file = match file {
-                Ok(f) => f,
-                // The reset stays scheduled: a later append retries the open.
-                Err(_) => return,
-            };
+            let mut file = OpenOptions::new().create(true).read(true).append(true).open(&self.path)?;
             let len = file.metadata().map(|m| m.len()).unwrap_or(0);
             if len == 0 {
-                if file.write_all(header_line().as_bytes()).is_err() {
-                    return;
-                }
+                file.write_all(header_line().as_bytes())?;
             } else if !truncate {
                 // A previous process may have died mid-append, leaving a torn
                 // tail without a newline; terminate it so the next entry
@@ -389,18 +393,17 @@ impl DiskShard {
                     .and_then(|_| std::io::Read::read_exact(&mut file, &mut tail))
                     .map(|()| tail[0] == b'\n')
                     .unwrap_or(true);
-                if std::io::Seek::seek(&mut file, std::io::SeekFrom::End(0)).is_err() {
-                    return;
-                }
-                if !ends_with_newline && file.write_all(b"\n").is_err() {
-                    return;
+                std::io::Seek::seek(&mut file, std::io::SeekFrom::End(0))?;
+                if !ends_with_newline {
+                    file.write_all(b"\n")?;
                 }
             }
             writer.1 = false;
             writer.0 = Some(file);
         }
-        if let Some(file) = writer.0.as_mut() {
-            let _ = file.write_all(line.as_bytes());
+        match writer.0.as_mut() {
+            Some(file) => file.write_all(line.as_bytes()),
+            None => Ok(()),
         }
     }
 }

@@ -20,12 +20,18 @@
 //! injectable via [`MemSpot::with_store`] so a whole sweep shares one — and
 //! delegates each run to the engine.
 //!
-//! `MemSpot` is also the entry to the slowest of three execution tiers:
-//! per-cell stepping here, lockstep batching of many cells in
-//! [`BatchedSimEngine`](crate::sim::batch::BatchedSimEngine) (bit-identical,
-//! faster), and the batched tier's opt-in steady-state fast-forward (within
-//! 1e-9, fastest). Use `MemSpot` for one run; hand a whole grid of cells to
-//! the batched engine.
+//! `MemSpot` is also the entry to tier 1, the slowest, of the five-tier
+//! execution ladder described in [`crate::sim::batch`]: per-cell stepping
+//! here; lockstep batching of many cells in
+//! [`BatchedSimEngine`](crate::sim::batch::BatchedSimEngine) and its
+//! lane-parallel form (both bit-identical to this tier); and the batched
+//! engine's steady/periodic and envelope fast-forward tiers (within 1e-9).
+//! The fast-forward tiers are on by default
+//! ([`BatchOptions::default`](crate::sim::batch::BatchOptions)) and engage
+//! only for policies that certify their decisions;
+//! [`BatchOptions::literal`](crate::sim::batch::BatchOptions::literal) turns
+//! them off. Use `MemSpot` for one run; hand a whole grid of cells to the
+//! batched engine.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;

@@ -6,7 +6,14 @@
 //! (with the server's ambient temperature and CPU→memory interaction
 //! strength) forms the level-2 plant, and the software DTM policies of
 //! Section 5.2.2 act on it once per second through noisy AMB sensors.
-
+//!
+//! The driver runs one mix under one policy per call on the per-cell
+//! engine ([`MemSpot::run`]). It is the reference for single runs, tests
+//! and examples. The Chapter 5 figure drivers do not call it: they hand
+//! whole batches of runs to the batched sweep dispatcher. Both paths build
+//! their configuration with [`Server::memspot_config`], and the batched
+//! path reproduces this driver's results bit for bit.
+//!
 use std::sync::Arc;
 
 use memtherm::dtm::no_limit::NoLimit;
@@ -63,14 +70,7 @@ impl PlatformExperiment {
     /// servers can share a store without aliasing. Results are identical to
     /// a private store's.
     pub fn with_store(server: Server, runs_per_app: usize, instruction_scale: f64, store: Arc<CharStore>) -> Self {
-        let mut cfg = MemSpotConfig::paper(server.cooling).with_integrated(Some(server.interaction_degree));
-        cfg.limits = server.thermal_limits();
-        cfg.ambient_override_c = Some(server.system_ambient_c);
-        cfg.dtm_interval_s = server.dtm_interval_s;
-        cfg.copies_per_app = runs_per_app;
-        cfg.instruction_scale = instruction_scale;
-        cfg.characterization_budget = 40_000;
-        cfg.max_sim_time_s = 40_000.0;
+        let cfg = server.memspot_config(runs_per_app, instruction_scale);
         let curve_cfg = MemSpotConfig { record_temp_trace: true, ..cfg };
         let curve_spot = MemSpot::with_store(server.cpu.clone(), server.mem, curve_cfg, Arc::clone(&store));
         let spot = MemSpot::with_store(server.cpu.clone(), server.mem, cfg, store);
@@ -124,14 +124,20 @@ impl PlatformExperiment {
     /// (Figure 5.5), with the hottest 0.5 % of samples filtered as sensor
     /// spikes.
     pub fn homogeneous_average_amb(&mut self, app: &AppBehavior) -> f64 {
-        let trace = self.homogeneous_temperature_curve(app, f64::INFINITY);
-        let samples: Vec<f64> = trace.iter().map(|s| s.amb_c).collect();
-        let filtered = crate::sensors::filter_spikes(samples, 0.005);
-        if filtered.is_empty() {
-            return 0.0;
-        }
-        filtered.iter().sum::<f64>() / filtered.len() as f64
+        average_amb_c(&self.homogeneous_temperature_curve(app, f64::INFINITY))
     }
+}
+
+/// Average AMB temperature of a recorded trace with the hottest 0.5 % of
+/// samples filtered as sensor spikes (the quantity of Figure 5.5); 0 for an
+/// empty trace.
+pub fn average_amb_c(trace: &[TempSample]) -> f64 {
+    let samples: Vec<f64> = trace.iter().map(|s| s.amb_c).collect();
+    let filtered = crate::sensors::filter_spikes(samples, 0.005);
+    if filtered.is_empty() {
+        return 0.0;
+    }
+    filtered.iter().sum::<f64>() / filtered.len() as f64
 }
 
 #[cfg(test)]

@@ -193,6 +193,12 @@ impl DtmPolicy for PlatformPolicy {
         self.kind.scheme()
     }
 
+    /// `decide` reads only `max_amb_c`, so the batched engine may observe
+    /// the cell from its running device maxima.
+    fn observes_field(&self) -> bool {
+        false
+    }
+
     fn name(&self) -> String {
         format!("{} ({})", self.kind.scheme(), self.server.kind)
     }

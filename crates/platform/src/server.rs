@@ -3,6 +3,7 @@
 use cpu_model::CpuConfig;
 use fbdimm_sim::FbdimmConfig;
 use memtherm::prelude::{CoolingConfig, HeatSpreader, ThermalLimits};
+use memtherm::sim::memspot::MemSpotConfig;
 
 /// Which of the two study machines is being emulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,6 +124,25 @@ impl Server {
         }
     }
 
+    /// The MEMSpot configuration every Chapter 5 run on this server uses:
+    /// the integrated thermal model with the server's interaction degree,
+    /// its thermal limits, system ambient and DTM interval, and a batch of
+    /// `runs_per_app` copies of each application at `instruction_scale`.
+    /// [`PlatformExperiment`](crate::PlatformExperiment) and the batched
+    /// Chapter 5 figure drivers both build their runs from it.
+    pub fn memspot_config(&self, runs_per_app: usize, instruction_scale: f64) -> MemSpotConfig {
+        MemSpotConfig {
+            limits: self.thermal_limits(),
+            ambient_override_c: Some(self.system_ambient_c),
+            dtm_interval_s: self.dtm_interval_s,
+            copies_per_app: runs_per_app,
+            instruction_scale,
+            characterization_budget: 40_000,
+            max_sim_time_s: 40_000.0,
+            ..MemSpotConfig::paper(self.cooling).with_integrated(Some(self.interaction_degree))
+        }
+    }
+
     /// The memory-inlet temperature seen by the DIMMs when the processors
     /// are idle (the system ambient, before any CPU pre-heating).
     pub fn idle_memory_inlet_c(&self) -> f64 {
@@ -174,6 +194,20 @@ mod tests {
         let limits = s.thermal_limits();
         assert_eq!(limits.amb_tdp_c, 88.0);
         assert!(limits.dram_tdp_c > 500.0, "DRAM is never the hot spot on the servers");
+    }
+
+    #[test]
+    fn memspot_config_carries_the_server_environment() {
+        let s = Server::sr1500al().with_ambient_c(26.0).with_amb_tdp(90.0);
+        let cfg = s.memspot_config(2, 0.5);
+        assert!(cfg.integrated);
+        assert_eq!(cfg.interaction_degree, Some(s.interaction_degree));
+        assert_eq!(cfg.ambient_override_c, Some(26.0));
+        assert_eq!(cfg.limits, s.thermal_limits());
+        assert_eq!(cfg.cooling, s.cooling);
+        assert_eq!(cfg.dtm_interval_s, 1.0);
+        assert_eq!((cfg.copies_per_app, cfg.instruction_scale), (2, 0.5));
+        assert!(!cfg.record_temp_trace);
     }
 
     #[test]
